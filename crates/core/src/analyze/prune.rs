@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use crate::arcs::{compute_arc_tables, Action, Arc, Disposition, StateId};
+use crate::arcs::{Action, Arc, Disposition, StateId};
 use crate::build::{compute_scan_all, uses_buffers, Hpdt};
 use crate::ids::BpdtId;
 
@@ -164,14 +164,13 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
     }
 
     let scan_all = compute_scan_all(&arcs);
-    let arc_tables = compute_arc_tables(&arcs);
     let buffered = uses_buffers(&arcs);
     let start = remap[hpdt.start as usize].expect("start state is always reachable");
     let mut pruned = Hpdt {
         bpdt_count: queue_index.len(),
         start,
         scan_all,
-        arc_tables,
+        plan: Default::default(),
         buffered,
         states,
         arcs,

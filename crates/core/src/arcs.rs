@@ -263,125 +263,272 @@ impl Arc {
     }
 }
 
-/// Event-kind half of a dispatch key (shared by the per-state arc tables
-/// below and the query index's inverted dispatch).
-pub(crate) const KIND_BEGIN: u64 = 0;
-pub(crate) const KIND_END: u64 = 1;
-pub(crate) const KIND_TEXT: u64 = 2;
+/// Event kinds the candidate plan is keyed by (and, for the first
+/// three, the query index's inverted dispatch).
+pub(crate) const KIND_BEGIN: usize = 0;
+pub(crate) const KIND_END: usize = 1;
+pub(crate) const KIND_TEXT: usize = 2;
+const KIND_START_DOC: usize = 3;
+const KIND_END_DOC: usize = 4;
+const KINDS: usize = 5;
 
-/// Dense dispatch key for a (kind, tag) pair.
+/// The plan key of an event: its kind and, for element events, its tag.
 #[inline]
-pub(crate) fn event_key(kind: u64, sym: Sym) -> u64 {
-    (kind << 32) | sym.index() as u64
-}
-
-/// The dispatch key of an event, if it has one (document start/end do
-/// not — only `rest` arcs can accept those).
-#[inline]
-pub(crate) fn raw_event_key(event: &RawEvent<'_>) -> Option<u64> {
+pub(crate) fn event_kind(event: &RawEvent<'_>) -> (usize, Option<Sym>) {
     match event {
-        RawEvent::Begin { name, .. } => Some(event_key(KIND_BEGIN, *name)),
-        RawEvent::End { name, .. } => Some(event_key(KIND_END, *name)),
-        RawEvent::Text { element, .. } => Some(event_key(KIND_TEXT, *element)),
-        RawEvent::StartDocument | RawEvent::EndDocument => None,
+        RawEvent::Begin { name, .. } => (KIND_BEGIN, Some(*name)),
+        RawEvent::End { name, .. } => (KIND_END, Some(*name)),
+        RawEvent::Text { element, .. } => (KIND_TEXT, Some(*element)),
+        RawEvent::StartDocument => (KIND_START_DOC, None),
+        RawEvent::EndDocument => (KIND_END_DOC, None),
     }
 }
 
-/// How an arc label participates in keyed dispatch: either it only ever
-/// accepts events with one exact (kind, tag) key, or it must be probed
-/// for every event (wildcard patterns, catchalls, document events).
-pub(crate) fn label_dispatch_key(label: &ArcLabel) -> Option<u64> {
+/// The event kinds a label can accept, as a bit set over `KIND_*`, and
+/// the tag it requires (`None` for wildcards, loops, catchalls and the
+/// document brackets). `label_matches` makes the tag compare a necessary
+/// condition, so a named label is only a candidate for its own tag.
+fn label_kinds(label: &ArcLabel) -> (u8, Option<Sym>) {
+    let named = |p: &NamePat| match p {
+        NamePat::Name(s) => Some(*s),
+        NamePat::Any => None,
+    };
     match label {
-        ArcLabel::BeginChild(NamePat::Name(s)) | ArcLabel::BeginAnyDepth(NamePat::Name(s)) => {
-            Some(event_key(KIND_BEGIN, *s))
-        }
-        ArcLabel::End(NamePat::Name(s)) => Some(event_key(KIND_END, *s)),
-        ArcLabel::TextSelf(NamePat::Name(s)) | ArcLabel::TextChild(NamePat::Name(s)) => {
-            Some(event_key(KIND_TEXT, *s))
-        }
-        _ => None,
+        ArcLabel::StartDoc => (1 << KIND_START_DOC, None),
+        ArcLabel::EndDoc => (1 << KIND_END_DOC, None),
+        ArcLabel::BeginChild(p) | ArcLabel::BeginAnyDepth(p) => (1 << KIND_BEGIN, named(p)),
+        ArcLabel::ClosureSelfLoop => (1 << KIND_BEGIN, None),
+        ArcLabel::End(p) => (1 << KIND_END, named(p)),
+        ArcLabel::TextSelf(p) | ArcLabel::TextChild(p) => (1 << KIND_TEXT, named(p)),
+        // Document events sit at depth 0, never below an anchor.
+        ArcLabel::Catchall => (1 << KIND_BEGIN | 1 << KIND_END | 1 << KIND_TEXT, None),
     }
 }
 
-/// Keyed index over one state's outgoing arcs. `label_matches` makes the
-/// exact tag compare a *necessary* condition for every named label, so an
-/// event only needs to probe the arcs filed under its own (kind, tag) key
-/// plus the `rest` bucket — turning the per-event cost on a frontier
-/// state with N named arcs (one per merged query) from O(N) into
-/// O(matching + wildcards). This is what un-cliffs N=512 single-group
-/// dispatch: the index's touch win finally shows up as wall-clock.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ArcTable {
-    /// `(dispatch key, arc index)` sorted by key then index; probe with
-    /// `partition_point`, entries for one key are contiguous and in
-    /// ascending arc order.
-    named: Vec<(u64, u32)>,
-    /// Arc indices that must be probed for every event, ascending.
-    rest: Vec<u32>,
+/// An action-free, guard-free `//` loop on `state`: firing it derives
+/// the configuration it fired from, unchanged.
+fn is_plain_loop(arc: &Arc, state: usize) -> bool {
+    arc.label == ArcLabel::ClosureSelfLoop
+        && arc.guard.is_none()
+        && arc.actions.is_empty()
+        && arc.target as usize == state
 }
 
-impl ArcTable {
-    /// Candidate arc indices for an event with dispatch key `key`, in
-    /// ascending arc-index order (merging the key run with `rest`
-    /// preserves the exact probe order of a linear scan, which the
-    /// stop-early XSQ-NC mode relies on). `None` key (document events)
-    /// yields `rest` alone.
-    #[inline]
-    pub(crate) fn candidates(&self, key: Option<u64>, out: &mut Vec<u32>) {
-        out.clear();
-        let run = match key {
-            Some(k) => {
-                let lo = self.named.partition_point(|&(nk, _)| nk < k);
-                let hi = self.named[lo..].partition_point(|&(nk, _)| nk == k) + lo;
-                &self.named[lo..hi]
-            }
-            None => &[],
+/// Can the plain `//` loops of `state` leave its begin slot? Only when
+/// every other arc that accepts some begin event accepts nothing the
+/// loop does not: begin events strictly below the anchor. This is probed
+/// through `label_matches` itself rather than read off the label enum,
+/// so a future label that accepts begin events at or above the anchor
+/// keeps its state's loops in the plan.
+fn loops_persist(outgoing: &[Arc], state: usize) -> bool {
+    if !outgoing.iter().any(|a| is_plain_loop(a, state)) {
+        return false;
+    }
+    // Any tag will do where the label tests none.
+    static PROBE_TAG: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+    let any = *PROBE_TAG.get_or_init(|| Sym::intern("*"));
+    let probe_dv = DepthVector::from_depths(&[0, 3]);
+    let begin = |name, depth| RawEvent::Begin {
+        name,
+        attributes: &[],
+        depth,
+    };
+    outgoing.iter().all(|arc| {
+        let (kinds, tag) = label_kinds(&arc.label);
+        if is_plain_loop(arc, state) {
+            // The loop itself must accept every begin below the anchor.
+            [4, 5, 64]
+                .iter()
+                .all(|&d| arc.label_matches(&begin(any, d), &probe_dv))
+        } else {
+            kinds & 1 << KIND_BEGIN == 0
+                || (0..=probe_dv.top())
+                    .all(|d| !arc.label_matches(&begin(tag.unwrap_or(any), d), &probe_dv))
+        }
+    })
+}
+
+/// Execution order among arcs fired by one event (see `Arc::priority`
+/// and the layer note on `Arc::owner_layer`): deepest layer first, then
+/// value production, flush/upload, clear. Smaller runs first.
+pub(crate) fn arc_order(arc: &Arc) -> u32 {
+    ((u16::MAX - arc.owner_layer) as u32) << 8 | arc.priority() as u32
+}
+
+/// One candidate arc of a (state, event kind) slot, with what the
+/// runtime's execution phase needs precomputed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cand {
+    /// Index into the state's arc list.
+    pub(crate) arc: u32,
+    /// [`arc_order`] of the arc.
+    pub(crate) order: u32,
+    /// Firing leaves the configuration exactly as it was: a self-loop
+    /// that neither opens nor closes an element item. The configuration
+    /// survives and no successor is derived; only the actions run.
+    pub(crate) stays: bool,
+}
+
+/// Where one (state, event kind) slot's candidates live.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Range of `ArcPlan::keys` holding this slot's tags, sorted.
+    keys: (u32, u32),
+    /// Range of `ArcPlan::cands` for an event whose tag has no key here
+    /// (or that has no tag): the arcs with no tag test.
+    rest: (u32, u32),
+    /// Begin slots only: the state's plain `//` loops were left out, and
+    /// its configurations survive every begin event.
+    persist: bool,
+}
+
+/// Candidate arcs per (state, event kind), built once per compiled HPDT
+/// (see `Hpdt::plan`) and shared by every runner of it. For an event with tag `t`, a slot
+/// yields one contiguous run: the arcs testing for `t` merged with the
+/// arcs that test no tag, in ascending arc order. A state with one
+/// named arc per merged query (the N=512 frontier) therefore costs a
+/// binary search plus the arcs that can match, and a small state the
+/// same single slice walk.
+///
+/// In scan-all states the begin slot omits plain `//` loops (action-free,
+/// guard-free closure self-loops) and sets `persist` instead: such a loop
+/// only re-derives its configuration, and [`loops_persist`] checks that it
+/// accepts every begin event any other arc of the state accepts, so
+/// "the configuration survives every begin event" says the same thing
+/// without probing the loop on every event.
+#[derive(Debug)]
+pub(crate) struct ArcPlan {
+    /// `slots[state * KINDS + kind]`.
+    slots: Vec<Slot>,
+    /// `(tag, start, end)`: the candidate range of `cands` for that tag.
+    keys: Vec<(Sym, u32, u32)>,
+    cands: Vec<Cand>,
+}
+
+impl ArcPlan {
+    /// Build the plan for a transition function. `scan_all` is the
+    /// per-state flag of [`crate::build::Hpdt::scan_all`]: only states
+    /// that never stop at a first match may drop their loops.
+    pub(crate) fn build(arcs: &[Vec<Arc>], scan_all: &[bool]) -> ArcPlan {
+        let arc_count: usize = arcs.iter().map(Vec::len).sum();
+        let mut plan = ArcPlan {
+            slots: Vec::with_capacity(arcs.len() * KINDS),
+            keys: Vec::with_capacity(arc_count),
+            cands: Vec::with_capacity(2 * arc_count),
         };
-        // Merge two ascending sequences of arc indices.
-        let (mut i, mut j) = (0, 0);
-        while i < run.len() && j < self.rest.len() {
-            if run[i].1 < self.rest[j] {
-                out.push(run[i].1);
-                i += 1;
-            } else {
-                out.push(self.rest[j]);
-                j += 1;
+        // Per arc of the current state: the kinds it is a candidate
+        // for (none for an omitted loop), its tag, and its candidate.
+        let mut meta: Vec<(u8, Option<Sym>, Cand)> = Vec::new();
+        let mut named: Vec<(Sym, u32)> = Vec::new();
+        let mut rest: Vec<u32> = Vec::new();
+        for (s, outgoing) in arcs.iter().enumerate() {
+            let persist = scan_all.get(s).copied().unwrap_or(false) && loops_persist(outgoing, s);
+            meta.clear();
+            let mut present = 0u8;
+            for (ai, arc) in outgoing.iter().enumerate() {
+                let (mut kinds, tag) = label_kinds(&arc.label);
+                if persist && is_plain_loop(arc, s) {
+                    kinds = 0;
+                }
+                present |= kinds;
+                let stays = arc.target as usize == s
+                    && !arc
+                        .actions
+                        .iter()
+                        .any(|a| matches!(a, Action::ElementStart { .. } | Action::ElementEnd));
+                let cand = Cand {
+                    arc: ai as u32,
+                    order: arc_order(arc),
+                    stays,
+                };
+                meta.push((kinds, tag, cand));
+            }
+            for kind in 0..KINDS {
+                let keys_start = plan.keys.len() as u32;
+                let rest_start = plan.cands.len() as u32;
+                named.clear();
+                rest.clear();
+                if present & 1 << kind != 0 {
+                    for (ai, &(kinds, tag, _)) in meta.iter().enumerate() {
+                        match tag {
+                            _ if kinds & 1 << kind == 0 => {}
+                            Some(t) => named.push((t, ai as u32)),
+                            None => rest.push(ai as u32),
+                        }
+                    }
+                    named.sort_unstable();
+                    plan.cands
+                        .extend(rest.iter().map(|&ai| meta[ai as usize].2));
+                    for run in named.chunk_by(|a, b| a.0 == b.0) {
+                        // Merge two ascending runs of arc indices.
+                        let start = plan.cands.len() as u32;
+                        let (mut i, mut j) = (0, 0);
+                        while i < run.len() || j < rest.len() {
+                            let ai = if j == rest.len() || (i < run.len() && run[i].1 < rest[j]) {
+                                i += 1;
+                                run[i - 1].1
+                            } else {
+                                j += 1;
+                                rest[j - 1]
+                            };
+                            plan.cands.push(meta[ai as usize].2);
+                        }
+                        plan.keys.push((run[0].0, start, plan.cands.len() as u32));
+                    }
+                }
+                plan.slots.push(Slot {
+                    keys: (keys_start, plan.keys.len() as u32),
+                    rest: (rest_start, rest_start + rest.len() as u32),
+                    persist: persist && kind == KIND_BEGIN,
+                });
             }
         }
-        out.extend(run[i..].iter().map(|&(_, a)| a));
-        out.extend_from_slice(&self.rest[j..]);
+        plan
     }
 
-    /// Would a linear scan be just as fast? Small states skip the table
-    /// (`compute_arc_tables` applies the cutoff; this is the test hook).
-    #[cfg(test)]
-    pub(crate) fn worthwhile(&self) -> bool {
-        self.named.len() + self.rest.len() >= ARC_TABLE_CUTOFF
+    #[inline]
+    fn slot(&self, state: StateId, kind: usize) -> &Slot {
+        &self.slots[state as usize * KINDS + kind]
     }
-}
 
-/// Below this many arcs a linear scan beats the probe+merge.
-const ARC_TABLE_CUTOFF: usize = 8;
+    /// The candidate arcs of `state` for an event of `kind` with `tag`,
+    /// in ascending arc order, and whether the state's configurations
+    /// survive the event whatever fires (`Slot::persist`).
+    #[inline]
+    pub(crate) fn candidates(
+        &self,
+        state: StateId,
+        kind: usize,
+        tag: Option<Sym>,
+    ) -> (&[Cand], bool) {
+        let slot = self.slot(state, kind);
+        let keys = &self.keys[slot.keys.0 as usize..slot.keys.1 as usize];
+        let (lo, hi) = match tag.map(|t| keys.binary_search_by_key(&t, |k| k.0)) {
+            Some(Ok(i)) => (keys[i].1, keys[i].2),
+            _ => slot.rest,
+        };
+        (&self.cands[lo as usize..hi as usize], slot.persist)
+    }
 
-/// Build per-state arc tables for the HPDT's transition function. States
-/// whose arc count is below the cutoff get `None` (linear scan).
-pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
-    arcs.iter()
-        .map(|state_arcs| {
-            if state_arcs.len() < ARC_TABLE_CUTOFF {
-                return None;
-            }
-            let mut table = ArcTable::default();
-            for (ai, arc) in state_arcs.iter().enumerate() {
-                match label_dispatch_key(&arc.label) {
-                    Some(key) => table.named.push((key, ai as u32)),
-                    None => table.rest.push(ai as u32),
-                }
-            }
-            table.named.sort_unstable();
-            Some(table)
-        })
-        .collect()
+    /// Is `arc` a plain `//` loop this plan leaves out of `state`'s begin
+    /// slot? (The tracer lists these firings; the runtime never probes
+    /// them.)
+    pub(crate) fn omits(&self, arc: &Arc, state: StateId) -> bool {
+        self.slot(state, KIND_BEGIN).persist && is_plain_loop(arc, state as usize)
+    }
+
+    /// What `state` can react to among events of `kind`: the tags with a
+    /// candidate run of their own, and whether any arc accepts every tag
+    /// (a non-empty `rest`). This is the dispatch index's interest.
+    pub(crate) fn interest(
+        &self,
+        state: StateId,
+        kind: usize,
+    ) -> (impl Iterator<Item = Sym> + '_, bool) {
+        let slot = self.slot(state, kind);
+        let keys = &self.keys[slot.keys.0 as usize..slot.keys.1 as usize];
+        (keys.iter().map(|k| k.0), slot.rest.0 != slot.rest.1)
+    }
 }
 
 #[cfg(test)]
@@ -529,52 +676,138 @@ mod tests {
         assert!(!matches(&a, &end("pub", 2), &dv));
     }
 
+    /// The plan's candidates for `ev` on state 0 of `outgoing`.
+    fn plan_candidates(plan: &ArcPlan, ev: &SaxEvent) -> (Vec<u32>, bool) {
+        let raw = ev.as_raw();
+        let (kind, tag) = event_kind(&raw);
+        let (cands, persist) = plan.candidates(0, kind, tag);
+        (cands.iter().map(|c| c.arc).collect(), persist)
+    }
+
     #[test]
-    fn arc_table_candidates_match_linear_scan() {
+    fn plan_candidates_cover_every_arc_a_linear_scan_fires() {
         // A frontier-like state: many named begin arcs plus wildcard and
-        // document arcs. The keyed candidates must be exactly the arcs a
-        // linear scan could match, in the same (ascending) order.
-        let mut arcs_of_state = Vec::new();
+        // document arcs. Every arc a linear scan could fire must be a
+        // candidate, in ascending arc order.
+        let mut outgoing = Vec::new();
         for i in 0..10 {
-            arcs_of_state.push(arc(ArcLabel::BeginChild(NamePat::Name(
+            outgoing.push(arc(ArcLabel::BeginChild(NamePat::Name(
                 format!("t{i}").as_str().into(),
             ))));
         }
-        arcs_of_state.push(arc(ArcLabel::ClosureSelfLoop));
-        arcs_of_state.push(arc(ArcLabel::BeginChild(NamePat::Any)));
-        arcs_of_state.push(arc(ArcLabel::End(NamePat::Name("t3".into()))));
-        arcs_of_state.push(arc(ArcLabel::TextChild(NamePat::Name("t3".into()))));
-        arcs_of_state.push(arc(ArcLabel::StartDoc));
-        let tables = compute_arc_tables(std::slice::from_ref(&arcs_of_state));
-        let table = tables[0].as_ref().expect("above cutoff");
-        assert!(table.worthwhile());
+        outgoing.push(arc(ArcLabel::BeginChild(NamePat::Any)));
+        outgoing.push(arc(ArcLabel::End(NamePat::Name("t3".into()))));
+        outgoing.push(arc(ArcLabel::TextChild(NamePat::Name("t3".into()))));
+        outgoing.push(arc(ArcLabel::Catchall));
+        outgoing.push(arc(ArcLabel::StartDoc));
+        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
 
         let events = [
             begin("t3", 2),
             begin("t7", 2),
             begin("unknown", 2),
-            end("t3", 1),
+            end("t3", 2),
             text("t3", "v", 2),
             SaxEvent::StartDocument,
+            SaxEvent::EndDocument,
         ];
         let dv = DepthVector::from_depths(&[0, 1]);
-        let mut got = Vec::new();
         for ev in &events {
-            let raw = ev.as_raw();
-            table.candidates(raw_event_key(&raw), &mut got);
-            // Keyed dispatch is an over-approximation of label_matches:
-            // every arc the linear scan would fire must be a candidate,
-            // and candidates stay in ascending arc order.
-            for (ai, a) in arcs_of_state.iter().enumerate() {
-                if a.label_matches(&raw, &dv) {
+            let (got, persist) = plan_candidates(&plan, ev);
+            assert!(!persist, "no loop, nothing persists");
+            for (ai, a) in outgoing.iter().enumerate() {
+                if matches(a, ev, &dv) {
                     assert!(got.contains(&(ai as u32)), "missing arc {ai} for {ev:?}");
                 }
             }
             assert!(got.windows(2).all(|w| w[0] < w[1]), "order for {ev:?}");
         }
+        // A named arc is a candidate for its own tag only.
+        let (got, _) = plan_candidates(&plan, &begin("unknown", 2));
+        assert_eq!(got, [10, 13], "wildcard begin and catchall only");
+    }
 
-        // Small states skip the table entirely.
-        let small = compute_arc_tables(&[vec![arc(ArcLabel::Catchall)]]);
-        assert!(small[0].is_none());
+    #[test]
+    fn plain_loops_leave_scan_all_begin_slots_and_set_persist() {
+        let self_loop = |mut a: Arc| {
+            a.target = 0;
+            a
+        };
+        let outgoing = vec![
+            self_loop(arc(ArcLabel::ClosureSelfLoop)),
+            arc(ArcLabel::BeginAnyDepth(NamePat::Name("b".into()))),
+            arc(ArcLabel::End(NamePat::Name("a".into()))),
+        ];
+        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
+        assert_eq!(plan_candidates(&plan, &begin("b", 3)), (vec![1], true));
+        assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![], true));
+        // Persist is a begin-slot bit only.
+        assert_eq!(plan_candidates(&plan, &end("a", 1)), (vec![2], false));
+        let mut probe = Vec::new();
+        for ev in [begin("b", 3), begin("zz", 3)] {
+            probe.push(
+                outgoing.iter().any(|a| {
+                    plan.omits(a, 0) && matches(a, &ev, &DepthVector::from_depths(&[0, 1]))
+                }),
+            );
+        }
+        assert_eq!(probe, [true, true], "the tracer still sees the loop fire");
+
+        // A state that may stop at its first match keeps the loop.
+        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[false]);
+        assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![0], false));
+
+        // Guarded or action-bearing loops are not plain: they stay.
+        for tweak in [
+            |a: &mut Arc| {
+                a.guard = Some(Guard::Attr {
+                    name: "id".into(),
+                    cmp: None,
+                })
+            },
+            |a: &mut Arc| a.actions.push(Action::ElementAppend),
+        ] {
+            let mut outgoing = outgoing.clone();
+            tweak(&mut outgoing[0]);
+            let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
+            assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![0], false));
+        }
+    }
+
+    #[test]
+    fn persist_requires_every_begin_arc_to_stay_below_the_anchor() {
+        // Every label the builder emits passes the probe...
+        for label in [
+            ArcLabel::BeginChild(NamePat::Any),
+            ArcLabel::BeginAnyDepth(NamePat::Name("b".into())),
+            ArcLabel::Catchall,
+        ] {
+            let mut lp = arc(ArcLabel::ClosureSelfLoop);
+            lp.target = 0;
+            assert!(loops_persist(&[lp, arc(label.clone())], 0), "{label:?}");
+        }
+        // ...and a loop that is not a self-loop cannot persist anything.
+        assert!(!loops_persist(&[arc(ArcLabel::ClosureSelfLoop)], 0));
+    }
+
+    #[test]
+    fn stays_marks_self_loops_that_keep_the_item() {
+        let mut append = arc(ArcLabel::Catchall);
+        append.target = 0;
+        append.actions.push(Action::ElementAppend);
+        let mut close = append.clone();
+        close.label = ArcLabel::TextSelf(NamePat::Any);
+        close.actions = vec![Action::ElementEnd];
+        let moving = arc(ArcLabel::TextChild(NamePat::Any));
+        let plan = ArcPlan::build(&[vec![append, close, moving]], &[true]);
+        let raw = text("x", "t", 2);
+        let (kind, tag) = event_kind(&raw.as_raw());
+        let stays: Vec<bool> = plan
+            .candidates(0, kind, tag)
+            .0
+            .iter()
+            .map(|c| c.stays)
+            .collect();
+        assert_eq!(stays, [true, false, false]);
     }
 }

@@ -14,14 +14,15 @@
 //! (to the nearest zero bit), and where produced values are routed.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use xsq_xml::Sym;
 use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::arcs::{
-    compute_arc_tables, Action, Arc, ArcLabel, ArcTable, Disposition, Guard, NamePat, StateId,
-    StateInfo, StateRole, ValueSource,
+    Action, Arc, ArcLabel, ArcPlan, Disposition, Guard, NamePat, StateId, StateInfo, StateRole,
+    ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -40,11 +41,9 @@ pub struct Hpdt {
     /// Per state: `true` when several arcs might accept the same event,
     /// so a runtime must scan all arcs even in deterministic mode.
     pub scan_all: Vec<bool>,
-    /// Per state: keyed index over the outgoing arcs, present only where
-    /// the arc count makes probing cheaper than a linear scan (merged
-    /// frontier states with hundreds of named arcs). Shared by every
-    /// runner of this HPDT.
-    pub(crate) arc_tables: Vec<Option<ArcTable>>,
+    /// Candidate arcs per (state, event kind), built from `arcs` and
+    /// `scan_all` on first use (see [`Hpdt::plan`]).
+    pub(crate) plan: OnceLock<ArcPlan>,
     /// The global start state.
     pub start: StateId,
     /// Dense queue index for every BPDT (buffer storage at runtime).
@@ -71,6 +70,16 @@ pub struct Hpdt {
 }
 
 impl Hpdt {
+    /// The candidate-arc plan every runner of this HPDT steps through,
+    /// and the source of the query index's dispatch interest. It is
+    /// built once, on first use, so the intermediate automata of
+    /// compilation (built, verified, then pruned) never pay for one;
+    /// the transition function must not change after the HPDT has run.
+    pub(crate) fn plan(&self) -> &ArcPlan {
+        self.plan
+            .get_or_init(|| ArcPlan::build(&self.arcs, &self.scan_all))
+    }
+
     /// Total number of transition arcs.
     pub fn arc_count(&self) -> usize {
         self.arcs.iter().map(Vec::len).sum()
@@ -263,13 +272,12 @@ impl Builder {
         }
 
         let scan_all = compute_scan_all(&self.arcs);
-        let arc_tables = compute_arc_tables(&self.arcs);
         let deterministic = !self.query.has_closure();
         Ok(Hpdt {
             bpdt_count: self.queue_index.len(),
             start,
             scan_all,
-            arc_tables,
+            plan: OnceLock::new(),
             buffered: uses_buffers(&self.arcs),
             states: self.states,
             arcs: self.arcs,
@@ -826,13 +834,12 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
     }
 
     let scan_all = compute_scan_all(&b.arcs);
-    let arc_tables = compute_arc_tables(&b.arcs);
     let deterministic = queries.iter().all(|q| !q.has_closure());
     Ok(Hpdt {
         bpdt_count: b.queue_index.len(),
         start,
         scan_all,
-        arc_tables,
+        plan: OnceLock::new(),
         buffered: uses_buffers(&b.arcs),
         states: b.states,
         arcs: b.arcs,

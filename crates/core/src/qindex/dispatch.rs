@@ -6,16 +6,18 @@
 //! scheduling work identifies for structured-stream engines at scale.
 //! This index inverts the question: for each (event kind, element name)
 //! it keeps the set of runner groups whose *current* frontier states
-//! have an arc that could accept such an event. A `Begin`/`End`/`Text`
-//! event then touches only the groups in its bucket (plus the wildcard
-//! bucket for closure self-loops, `*` tests, and catchalls), instead of
-//! all N.
+//! have a candidate arc (see [`crate::arcs`]'s plan) that could accept
+//! such an event. A `Begin`/`End`/`Text` event then touches only the
+//! groups in its bucket (plus the wildcard bucket for `*` tests,
+//! catchalls, and guarded or action-bearing loops), instead of all N.
+//! Plain `//` loops are not candidates and add no interest: their
+//! configurations persist through every begin event, fed or not.
 //!
 //! Names are the global [`xsq_xml::Sym`] symbols the parser already interned, so
 //! the per-event lookup is a dense `Vec` index — no hashing, no string
 //! comparison. The index is maintained incrementally: a runner's
-//! interest only changes when one of its arcs fires (its configuration
-//! set moves), so the common skipped event costs one array index total.
+//! interest only changes when its configuration set changes, so the
+//! common skipped event costs one array index total.
 //! Interest is a deliberate *over*-approximation — it ignores the depth
 //! discipline and guards that [`crate::arcs::Arc::label_matches`]
 //! enforces — so a dispatched group may still match nothing; skipping a
@@ -28,10 +30,15 @@
 //! and a reindex reuses the index's scratch key buffer instead of
 //! building fresh sets.
 
-use xsq_xml::RawEvent;
+use xsq_xml::{RawEvent, Sym};
 
-use crate::arcs::{event_key, ArcLabel, NamePat, StateId, KIND_BEGIN, KIND_END, KIND_TEXT};
+use crate::arcs::{event_kind, StateId, KIND_BEGIN, KIND_END, KIND_TEXT};
 use crate::build::Hpdt;
+
+/// Dense dispatch key for an (event kind, tag) pair.
+fn event_key(kind: usize, sym: Sym) -> u64 {
+    ((kind as u64) << 32) | sym.index() as u64
+}
 
 fn key_parts(k: u64) -> (usize, usize) {
     ((k >> 32) as usize, (k & u32::MAX as u64) as usize)
@@ -47,13 +54,6 @@ fn remove_sorted(v: &mut Vec<u32>, x: u32) {
     if let Ok(i) = v.binary_search(&x) {
         v.remove(i);
     }
-}
-
-/// What events one HPDT state could react to, precomputed from its arcs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StateInterest {
-    keys: Vec<u64>,
-    wild: [bool; 3],
 }
 
 /// A runner group's currently registered interest (union over its
@@ -107,66 +107,34 @@ impl DispatchIndex {
         &mut self.by_sym[sym_index][kind]
     }
 
-    /// Compute one state's interest from its outgoing arcs.
-    fn state_interest(hpdt: &Hpdt, state: StateId) -> StateInterest {
-        let mut si = StateInterest::default();
-        for arc in &hpdt.arcs[state as usize] {
-            match &arc.label {
-                // Document brackets reach every group unconditionally.
-                ArcLabel::StartDoc | ArcLabel::EndDoc => {}
-                ArcLabel::BeginChild(pat) | ArcLabel::BeginAnyDepth(pat) => match pat {
-                    NamePat::Name(n) => si.keys.push(event_key(KIND_BEGIN, *n)),
-                    NamePat::Any => si.wild[KIND_BEGIN as usize] = true,
-                },
-                ArcLabel::ClosureSelfLoop => si.wild[KIND_BEGIN as usize] = true,
-                ArcLabel::End(pat) => match pat {
-                    NamePat::Name(n) => si.keys.push(event_key(KIND_END, *n)),
-                    NamePat::Any => si.wild[KIND_END as usize] = true,
-                },
-                ArcLabel::TextSelf(pat) | ArcLabel::TextChild(pat) => match pat {
-                    NamePat::Name(n) => si.keys.push(event_key(KIND_TEXT, *n)),
-                    NamePat::Any => si.wild[KIND_TEXT as usize] = true,
-                },
-                // The catchall accepts begin, end, and text events alike.
-                ArcLabel::Catchall => si.wild = [true, true, true],
-            }
-        }
-        si.keys.sort_unstable();
-        si.keys.dedup();
-        si
-    }
-
     /// (Re)register a group's interest for its current frontier states,
     /// diffing against what is currently in the index so only changed
-    /// buckets are touched. `cache` memoizes per-state interest for the
-    /// group's HPDT (states never change interest once compiled);
-    /// `current` is updated in place to the new interest. After warmup
-    /// (cache filled, bucket capacities grown) a reindex allocates
-    /// nothing: the next-key set builds in the index's scratch buffer and
-    /// is swapped into `current`.
+    /// buckets are touched. A state's interest is read off the HPDT's
+    /// candidate plan: the tags that have candidate arcs of their own,
+    /// and a wildcard flag per kind when some candidate tests no tag
+    /// (`*` tests, catchalls, loops the plan could not leave out). Plain
+    /// `//` loops are not candidates, so they add no interest: their
+    /// configurations persist through begin events whether or not the
+    /// group is fed them. `current` is updated in place to the new
+    /// interest. After warmup (bucket capacities grown) a reindex
+    /// allocates nothing: the next-key set builds in the index's scratch
+    /// buffer and is swapped into `current`.
     pub(crate) fn reindex(
         &mut self,
         group: u32,
         hpdt: &Hpdt,
         frontier: &[StateId],
-        cache: &mut Vec<Option<StateInterest>>,
         current: &mut GroupInterest,
     ) {
-        if cache.len() < hpdt.arcs.len() {
-            cache.resize(hpdt.arcs.len(), None);
-        }
+        let plan = hpdt.plan();
         let mut next_keys = std::mem::take(&mut self.scratch_keys);
         next_keys.clear();
         let mut next_wild = [false; 3];
         for &s in frontier {
-            let slot = &mut cache[s as usize];
-            if slot.is_none() {
-                *slot = Some(Self::state_interest(hpdt, s));
-            }
-            let si = slot.as_ref().unwrap();
-            next_keys.extend_from_slice(&si.keys);
-            for (w, &sw) in next_wild.iter_mut().zip(&si.wild) {
-                *w |= sw;
+            for kind in [KIND_BEGIN, KIND_END, KIND_TEXT] {
+                let (tags, wild) = plan.interest(s, kind);
+                next_keys.extend(tags.map(|t| event_key(kind, t)));
+                next_wild[kind] |= wild;
             }
         }
         next_keys.sort_unstable();
@@ -233,14 +201,10 @@ impl DispatchIndex {
     /// interleaving in shared sinks).
     pub fn candidates(&self, event: &RawEvent<'_>, out: &mut Vec<u32>) {
         out.clear();
-        let (kind, sym) = match event {
-            RawEvent::StartDocument | RawEvent::EndDocument => {
-                out.extend_from_slice(&self.all);
-                return;
-            }
-            RawEvent::Begin { name, .. } => (KIND_BEGIN as usize, *name),
-            RawEvent::End { name, .. } => (KIND_END as usize, *name),
-            RawEvent::Text { element, .. } => (KIND_TEXT as usize, *element),
+        let (kind, Some(sym)) = event_kind(event) else {
+            // Document brackets reach every group.
+            out.extend_from_slice(&self.all);
+            return;
         };
         if let Some(kinds) = self.by_sym.get(sym.index() as usize) {
             out.extend_from_slice(&kinds[kind]);
@@ -256,6 +220,7 @@ impl DispatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arcs::{Action, ArcLabel, Guard};
     use crate::build::build_hpdt;
     use xsq_xml::SaxEvent;
     use xsq_xpath::parse_query;
@@ -276,9 +241,8 @@ mod tests {
     fn start_state_interest_routes_only_matching_names() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
         let mut cur = GroupInterest::default();
-        idx.reindex(0, &hpdt, &[hpdt.start], &mut cache, &mut cur);
+        idx.reindex(0, &hpdt, &[hpdt.start], &mut cur);
 
         let mut out = Vec::new();
         candidates(&idx, &begin("a", 1), &mut out);
@@ -293,12 +257,11 @@ mod tests {
     fn frontier_moves_change_the_buckets() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
         let mut cur = GroupInterest::default();
         // Frontier at the root TRUE state (after StartDocument): the
         // entry arc on `a` is live.
         let root_true = hpdt.arcs[hpdt.start as usize][0].target;
-        idx.reindex(0, &hpdt, &[root_true], &mut cache, &mut cur);
+        idx.reindex(0, &hpdt, &[root_true], &mut cur);
         let mut out = Vec::new();
         candidates(&idx, &begin("a", 1), &mut out);
         assert_eq!(out, [0]);
@@ -306,33 +269,98 @@ mod tests {
         assert!(out.is_empty());
 
         // Move the frontier somewhere with no `a` interest: bucket empties.
-        idx.reindex(0, &hpdt, &[hpdt.start], &mut cache, &mut cur);
+        idx.reindex(0, &hpdt, &[hpdt.start], &mut cur);
         candidates(&idx, &begin("a", 1), &mut out);
         assert!(out.is_empty());
     }
 
+    /// Index one group at `frontier` and report whether `ev` reaches it.
+    fn dispatched(hpdt: &Hpdt, frontier: &[StateId], ev: &SaxEvent) -> bool {
+        let mut idx = DispatchIndex::new();
+        let mut cur = GroupInterest::default();
+        idx.reindex(0, hpdt, frontier, &mut cur);
+        let mut out = Vec::new();
+        candidates(&idx, ev, &mut out);
+        out == [0]
+    }
+
+    fn root_true(hpdt: &Hpdt) -> StateId {
+        hpdt.arcs[hpdt.start as usize][0].target
+    }
+
     #[test]
     fn closures_and_wildcards_land_in_the_wildcard_bucket() {
+        // A plain `//` loop is not a candidate arc (its configuration
+        // persists through every begin event), so the closure step's
+        // start state is interested in `<b>` alone, not in every begin.
         let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
-        let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
-        let mut cur = GroupInterest::default();
-        let root_true = hpdt.arcs[hpdt.start as usize][0].target;
-        idx.reindex(0, &hpdt, &[root_true], &mut cache, &mut cur);
-        let mut out = Vec::new();
-        // The closure self-loop accepts any begin event.
-        candidates(&idx, &begin("anything", 3), &mut out);
-        assert_eq!(out, [0]);
+        let rt = root_true(&hpdt);
+        assert!(dispatched(&hpdt, &[rt], &begin("b", 3)));
+        assert!(!dispatched(&hpdt, &[rt], &begin("anything", 3)));
+
+        // A `*` test accepts every tag.
+        let star = build_hpdt(&parse_query("//*/text()").unwrap()).unwrap();
+        assert!(dispatched(
+            &star,
+            &[root_true(&star)],
+            &begin("anything", 3)
+        ));
+
+        // Whole-element output: the catchall on the matched element's
+        // state accepts every begin, end and text event below it.
+        let elem = build_hpdt(&parse_query("//b").unwrap()).unwrap();
+        let inside = (0..elem.arcs.len() as StateId)
+            .find(|&s| {
+                elem.arcs[s as usize]
+                    .iter()
+                    .any(|a| a.label == ArcLabel::Catchall)
+            })
+            .expect("element output has a catchall");
+        for ev in [
+            begin("anything", 3),
+            SaxEvent::End {
+                name: "anything".into(),
+                depth: 3,
+            },
+            SaxEvent::Text {
+                element: "anything".into(),
+                text: "t".into(),
+                depth: 3,
+            },
+        ] {
+            assert!(dispatched(&elem, &[inside], &ev), "{ev:?}");
+        }
+
+        // A guarded or action-bearing loop is not plain: the plan keeps
+        // it as a candidate, so it still routes every begin event.
+        let edits: [fn(&mut crate::arcs::Arc); 2] = [
+            |a| {
+                a.guard = Some(Guard::Attr {
+                    name: "id".into(),
+                    cmp: None,
+                })
+            },
+            |a| a.actions.push(Action::ElementAppend),
+        ];
+        for edit in edits {
+            let mut h = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
+            let rt = root_true(&h);
+            let lp = h.arcs[rt as usize]
+                .iter_mut()
+                .find(|a| a.label == ArcLabel::ClosureSelfLoop)
+                .expect("closure step has a loop");
+            edit(lp);
+            assert!(dispatched(&h, &[rt], &begin("anything", 3)));
+        }
     }
 
     #[test]
     fn remove_group_clears_every_bucket() {
         let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
         let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
         let mut cur = GroupInterest::default();
         let root_true = hpdt.arcs[hpdt.start as usize][0].target;
-        idx.reindex(0, &hpdt, &[root_true], &mut cache, &mut cur);
+        idx.reindex(0, &hpdt, &[root_true], &mut cur);
         idx.remove_group(0, &cur);
         let mut out = Vec::new();
         candidates(&idx, &begin("b", 1), &mut out);
@@ -347,19 +375,17 @@ mod tests {
         // new keys, drop the stale ones, and keep the shared ones intact.
         let hpdt = build_hpdt(&parse_query("/pub[year=2002]/book/name/text()").unwrap()).unwrap();
         let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
         let mut cur = GroupInterest::default();
         // Index every state in turn; after arbitrary reindex churn the
         // registered interest must equal the last frontier's interest.
         let states: Vec<StateId> = (0..hpdt.arcs.len() as StateId).collect();
         for w in states.windows(3) {
-            idx.reindex(0, &hpdt, w, &mut cache, &mut cur);
+            idx.reindex(0, &hpdt, w, &mut cur);
         }
         let last = &states[states.len() - 3..];
         let mut fresh_idx = DispatchIndex::new();
         let mut fresh_cur = GroupInterest::default();
-        let mut fresh_cache = Vec::new();
-        fresh_idx.reindex(0, &hpdt, last, &mut fresh_cache, &mut fresh_cur);
+        fresh_idx.reindex(0, &hpdt, last, &mut fresh_cur);
         assert_eq!(cur.keys, fresh_cur.keys);
         assert_eq!(cur.wild, fresh_cur.wild);
         assert_eq!(idx.named_buckets(), fresh_idx.named_buckets());

@@ -23,7 +23,7 @@
 //!   recompiling.
 //!
 //! The index is behaviour-preserving by construction: every dispatch
-//! skip is a feed that could not have fired an arc, and the merged
+//! skip is a feed that could not have changed the runner, and the merged
 //! HPDT runs each member query over the same BPDT chain it would get
 //! alone. The differential test suite checks both against per-query
 //! [`crate::engine::XsqEngine`] runs.

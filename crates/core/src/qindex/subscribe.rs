@@ -35,7 +35,7 @@ use crate::report::MemoryStats;
 use crate::runtime::{RunStats, RunnerCore};
 use crate::sink::{Sink, TaggedSink};
 
-use super::dispatch::{DispatchIndex, GroupInterest, StateInterest};
+use super::dispatch::{DispatchIndex, GroupInterest};
 use super::prefix::plan_groups;
 
 /// Stable handle for one subscribed query. Ids are never reused, so a
@@ -100,12 +100,10 @@ struct Group {
     /// `members[tag]` = the QueryId whose results carry that tag.
     members: Vec<QueryId>,
     interest: GroupInterest,
-    state_cache: Vec<Option<StateInterest>>,
-    /// Frontier as of the last reindex. Closure states report "fired" on
-    /// every descent they track, but their frontier (and therefore the
-    /// dispatch buckets) usually hasn't moved — comparing against this
-    /// cache keeps the steady-state loop free of interest rebuilds (and
-    /// their allocations).
+    /// Frontier as of the last reindex. A configuration set can change
+    /// without its states changing (a closure step entered at a new
+    /// depth, or left again) — comparing against this cache keeps those
+    /// events free of interest rebuilds (and their allocations).
     last_frontier: Vec<StateId>,
     /// When true, the group's registered interest is the union over *all*
     /// its states, fixed at subscribe time, and per-event reindexing is
@@ -231,7 +229,6 @@ impl QueryIndex {
             core,
             members,
             interest: GroupInterest::default(),
-            state_cache: Vec::new(),
             last_frontier: Vec::new(),
             static_interest: false,
         };
@@ -242,24 +239,14 @@ impl QueryIndex {
         self.scratch_states.clear();
         self.scratch_states
             .extend(0..group.hpdt.arcs.len() as StateId);
-        self.dispatch.reindex(
-            gi,
-            &group.hpdt,
-            &self.scratch_states,
-            &mut group.state_cache,
-            &mut group.interest,
-        );
+        self.dispatch
+            .reindex(gi, &group.hpdt, &self.scratch_states, &mut group.interest);
         if group.interest.named_keys() >= STATIC_INTEREST_CUTOFF {
             group.static_interest = true;
         } else {
             group.core.frontier_states(&mut self.scratch_states);
-            self.dispatch.reindex(
-                gi,
-                &group.hpdt,
-                &self.scratch_states,
-                &mut group.state_cache,
-                &mut group.interest,
-            );
+            self.dispatch
+                .reindex(gi, &group.hpdt, &self.scratch_states, &mut group.interest);
             group.last_frontier.clone_from(&self.scratch_states);
         }
         self.groups.push(group);
@@ -460,7 +447,6 @@ impl QueryIndex {
                 core,
                 members,
                 interest,
-                state_cache,
                 last_frontier,
                 static_interest,
                 ..
@@ -471,20 +457,20 @@ impl QueryIndex {
                 subs,
                 shared: &mut *shared,
             };
-            let fired = core.feed_raw(hpdt, event, &mut route);
-            if fired && !*static_interest {
-                // The configuration set moved: re-derive what this group
-                // can react to next and update the buckets by diff — but
-                // only if the frontier actually changed. Closure states
-                // fire on every tracked descent with the same frontier;
-                // skipping the rebuild keeps that loop allocation-free.
-                // Static-interest groups never reindex: their buckets
-                // already cover every state.
+            let changed = core.feed_raw(hpdt, event, &mut route);
+            if changed && !*static_interest {
+                // The configuration set changed: re-derive what this
+                // group can react to next and update the buckets by diff
+                // — but only if the frontier's *states* changed. Entering
+                // or leaving a closure step at another depth changes the
+                // set but often not its states; skipping the rebuild then
+                // keeps the loop allocation-free. Static-interest groups
+                // never reindex: their buckets already cover every state.
                 core.frontier_states(scratch_states);
                 if scratch_states.as_slice() != last_frontier.as_slice() {
                     last_frontier.clear();
                     last_frontier.extend_from_slice(scratch_states);
-                    dispatch.reindex(gi, hpdt, scratch_states, state_cache, interest);
+                    dispatch.reindex(gi, hpdt, scratch_states, interest);
                 }
             }
         }
@@ -515,7 +501,6 @@ impl QueryIndex {
                 core,
                 members,
                 interest,
-                state_cache,
                 last_frontier,
                 static_interest,
                 ..
@@ -536,7 +521,7 @@ impl QueryIndex {
                 core.frontier_states(scratch_states);
                 last_frontier.clear();
                 last_frontier.extend_from_slice(scratch_states);
-                dispatch.reindex(gi as u32, hpdt, scratch_states, state_cache, interest);
+                dispatch.reindex(gi as u32, hpdt, scratch_states, interest);
             }
         }
         total

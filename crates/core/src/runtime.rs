@@ -7,6 +7,14 @@
 //! each producing a successor; configurations that match nothing simply
 //! ignore the event (the paper's rule).
 //!
+//! The runner pays only for arcs that change something. Arcs are looked
+//! up per (state, event kind) in the HPDT's candidate plan
+//! ([`crate::arcs`]), which leaves out plain `//` self-loops — their
+//! configurations persist through every begin event instead. The set is
+//! kept strictly sorted, and an event's consumed configurations and new
+//! successors are applied to it in place; an event that changes nothing
+//! leaves it untouched.
+//!
 //! Two orderings matter:
 //!
 //! * Within one input event, matched arcs execute **deepest layer first**,
@@ -94,11 +102,73 @@ pub struct RunnerCore {
     // Scratch buffers reused across events (the hot loop allocates
     // nothing on the no-match and single-match paths, and nothing on the
     // match path either once capacities have warmed up).
-    scratch_matches: Vec<(usize, StateId, u32)>,
-    scratch_uses: Vec<u32>,
-    scratch_candidates: Vec<u32>,
+    scratch_matches: Vec<Match>,
+    /// Indices of the configurations an event consumed, ascending.
+    scratch_dropped: Vec<u32>,
+    /// Successor configurations derived by an event.
+    scratch_born: Vec<Config>,
     scratch_ser: String,
-    spare_configs: Vec<Config>,
+}
+
+/// One fired (configuration, arc) pair of the current event.
+#[derive(Debug, Clone, Copy)]
+struct Match {
+    /// [`crate::arcs::arc_order`] of the arc.
+    order: u32,
+    /// Index of the configuration in the (sorted) set.
+    ci: u32,
+    /// Index of the arc in the configuration's state.
+    arc: u32,
+    /// The arc leaves the configuration as it was (`arcs::Cand::stays`).
+    stays: bool,
+}
+
+/// Apply one event to the strictly sorted configuration set in place:
+/// remove the configurations at the ascending indices in `dropped` and
+/// insert the successors in `born`. Only the tail past the first change
+/// moves. Returns whether the set changed — a successor already in the
+/// set adds nothing, and one that re-derives a dropped configuration
+/// keeps it.
+fn apply_step(set: &mut Vec<Config>, dropped: &mut Vec<u32>, born: &mut Vec<Config>) -> bool {
+    born.sort_unstable();
+    born.dedup();
+    born.retain(|b| match set.binary_search(b) {
+        Ok(i) => {
+            if let Ok(d) = dropped.binary_search(&(i as u32)) {
+                dropped.remove(d);
+            }
+            false
+        }
+        Err(_) => true,
+    });
+    if dropped.is_empty() && born.is_empty() {
+        return false;
+    }
+    if let Some(&first) = dropped.first() {
+        let mut gone = dropped.iter().peekable();
+        let mut w = first as usize;
+        for r in first as usize..set.len() {
+            if gone.next_if(|&&d| d as usize == r).is_none() {
+                set.swap(w, r);
+                w += 1;
+            }
+        }
+        set.truncate(w);
+    }
+    // Merge the (sorted) successors in from the back.
+    let mut i = set.len();
+    set.resize_with(i + born.len(), Config::default);
+    let mut w = set.len();
+    while let Some(b) = born.last() {
+        w -= 1;
+        if i > 0 && set[i - 1] > *b {
+            i -= 1;
+            set.swap(w, i);
+        } else {
+            set[w] = born.pop().expect("loop condition");
+        }
+    }
+    true
 }
 
 /// Ceiling on the per-queue pre-size hint: a pathological DTD can prove
@@ -143,10 +213,9 @@ impl RunnerCore {
             peak_configs: 1,
             queue_hint: 0,
             scratch_matches: Vec::new(),
-            scratch_uses: Vec::new(),
-            scratch_candidates: Vec::new(),
+            scratch_dropped: Vec::new(),
+            scratch_born: Vec::new(),
             scratch_ser: String::new(),
-            spare_configs: Vec::new(),
         }
     }
 
@@ -211,11 +280,12 @@ impl RunnerCore {
     }
 
     /// Process one borrowed SAX event, pushing any newly determined
-    /// results into the sink. Returns `true` when at least one arc fired
-    /// — i.e. the configuration set may have moved (the dispatch index
-    /// uses this to know when a runner's frontier needs re-indexing).
-    /// This is the zero-copy hot path: an event no arc accepts performs
-    /// no heap allocation.
+    /// results into the sink. Returns `true` iff the configuration set
+    /// changed (a configuration left it or a new one entered it) — the
+    /// dispatch index uses this to know when a runner's frontier may need
+    /// re-indexing. An event that only fires self-loops (closure descent,
+    /// text output) returns `false`. This is the zero-copy hot path: an
+    /// event no arc accepts performs no heap allocation.
     pub fn feed_raw(
         &mut self,
         hpdt: &Hpdt,
@@ -226,7 +296,8 @@ impl RunnerCore {
     }
 
     /// [`Self::feed_raw`] with an optional execution tracer (`--trace`;
-    /// see [`crate::trace`]). Zero cost when `tracer` is `None`.
+    /// see [`crate::trace`]). Zero cost when `tracer` is `None`. Returns
+    /// `true` iff the configuration set changed.
     pub fn feed_traced(
         &mut self,
         hpdt: &Hpdt,
@@ -238,53 +309,59 @@ impl RunnerCore {
         self.events += 1;
         self.items.begin_event(self.ordinal);
 
-        // Phase 1: find every (configuration, arc) match. A configuration
-        // sitting on a high-fanout state (a merged frontier with one named
-        // arc per query) probes only the arcs filed under the event's
-        // dispatch key plus the wildcard bucket, instead of scanning all
-        // of them — the fix for the N=512 dispatch cliff.
+        // Phase 1: find every (configuration, arc) match among the
+        // candidates the plan files under the configuration's state and
+        // the event's kind and tag. Plain `//` loops are not candidates:
+        // their configurations persist through every begin event (see
+        // `arcs::ArcPlan`). A configuration is consumed when an arc that
+        // moves it fires and neither a persist bit nor a staying arc
+        // keeps it.
         let mut matches = std::mem::take(&mut self.scratch_matches);
-        let mut uses = std::mem::take(&mut self.scratch_uses);
-        let mut cand = std::mem::take(&mut self.scratch_candidates);
+        let mut dropped = std::mem::take(&mut self.scratch_dropped);
         matches.clear();
-        uses.clear();
-        uses.resize(self.configs.len(), 0);
-        let key = crate::arcs::raw_event_key(event);
+        dropped.clear();
+        let plan = hpdt.plan();
+        let (kind, tag) = crate::arcs::event_kind(event);
+        // The set is sorted by state, so configurations sharing a state
+        // are adjacent and share one lookup.
+        let mut looked_up: Option<StateId> = None;
+        let (mut cands, mut persist, mut arcs, mut stop_early) = (&[][..], false, &[][..], false);
         for (ci, cfg) in self.configs.iter().enumerate() {
-            let arcs = &hpdt.arcs[cfg.state as usize];
-            let stop_early = !self.scan_all_mode && !hpdt.scan_all[cfg.state as usize];
-            if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
-                // Keyed candidates come out in ascending arc order, so
-                // stop-early sees the same first match as a linear scan.
-                table.candidates(key, &mut cand);
-                for &ai in &cand {
-                    let arc = &arcs[ai as usize];
-                    if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((ci, cfg.state, ai));
-                        uses[ci] += 1;
-                        if stop_early {
-                            break;
-                        }
-                    }
-                }
-            } else {
-                for (ai, arc) in arcs.iter().enumerate() {
-                    if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((ci, cfg.state, ai as u32));
-                        uses[ci] += 1;
-                        if stop_early {
-                            break;
-                        }
+            if looked_up != Some(cfg.state) {
+                looked_up = Some(cfg.state);
+                (cands, persist) = plan.candidates(cfg.state, kind, tag);
+                arcs = &hpdt.arcs[cfg.state as usize];
+                stop_early = !self.scan_all_mode && !hpdt.scan_all[cfg.state as usize];
+            }
+            let (mut moved, mut kept) = (false, persist);
+            for c in cands {
+                let arc = &arcs[c.arc as usize];
+                if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
+                    matches.push(Match {
+                        order: c.order,
+                        ci: ci as u32,
+                        arc: c.arc,
+                        stays: c.stays,
+                    });
+                    moved |= !c.stays;
+                    kept |= c.stays;
+                    if stop_early {
+                        break;
                     }
                 }
             }
+            if moved && !kept {
+                dropped.push(ci as u32);
+            }
         }
-        self.scratch_candidates = cand;
+        if tracer.is_some() {
+            self.trace_persisted_loops(hpdt, event, &mut matches);
+        }
         if matches.is_empty() {
             // Every configuration ignores the event (the common case on
             // data the query does not touch): nothing moves.
             self.scratch_matches = matches;
-            self.scratch_uses = uses;
+            self.scratch_dropped = dropped;
             self.drain(sink);
             if let Some(tracer) = tracer {
                 self.emit_trace(event, Vec::new(), tracer);
@@ -295,44 +372,26 @@ impl RunnerCore {
         // Phase 2: execute matches deepest-layer-first (uploads from a
         // closing inner element precede the enclosing flush/clear on the
         // same event); within a layer, value production → flush/upload →
-        // clear (see `Arc::priority`). The `(ci, ai)` tail reproduces the
-        // insertion order a stable sort would keep, without a stable
-        // sort's temporary buffer.
-        matches.sort_unstable_by_key(|&(ci, state, ai)| {
-            let arc = &hpdt.arcs[state as usize][ai as usize];
-            (std::cmp::Reverse(arc.owner_layer), arc.priority(), ci, ai)
-        });
+        // clear (see `arcs::arc_order`). The `(ci, arc)` tail keeps the
+        // order deterministic.
+        matches.sort_unstable_by_key(|m| (m.order, m.ci, m.arc));
 
         // Trace steps are materialized only when a tracer is attached;
         // the untraced path never touches `FiredArc`.
         let mut fired: Option<Vec<crate::trace::FiredArc>> =
             tracer.is_some().then(|| Vec::with_capacity(matches.len()));
-        let mut cur = std::mem::take(&mut self.configs);
-        let mut next = std::mem::take(&mut self.spare_configs);
-        next.clear();
-        // Unmatched configurations survive unchanged; move them over.
-        for (ci, &n) in uses.iter().enumerate() {
-            if n == 0 {
-                next.push(std::mem::take(&mut cur[ci]));
-            }
-        }
-        for &(ci, state, ai) in &matches {
-            let arc = &hpdt.arcs[state as usize][ai as usize];
-            // Last use of this configuration moves its depth vector;
-            // earlier (forking) uses clone it.
-            uses[ci] -= 1;
-            let (cfg_item, mut dv) = if uses[ci] == 0 {
-                let c = &mut cur[ci];
-                (c.item, std::mem::take(&mut c.dv))
-            } else {
-                let c = &cur[ci];
-                (c.item, c.dv.clone())
-            };
+        let cur = std::mem::take(&mut self.configs);
+        let mut born = std::mem::take(&mut self.scratch_born);
+        born.clear();
+        for m in &matches {
+            let cfg = &cur[m.ci as usize];
+            let arc = &hpdt.arcs[cfg.state as usize][m.arc as usize];
             // Depth-vector discipline (§4.3): real transitions push the
             // depth of a begin event and pop at an end event; self-loops
             // and text events leave the vector unchanged. Actions see the
             // "inside" vector — after the push, before the pop.
-            let changes = arc.changes_state(state);
+            let changes = arc.changes_state(cfg.state);
+            let mut dv = cfg.dv.clone();
             if changes {
                 match event {
                     RawEvent::StartDocument => dv.push_mut(0),
@@ -341,33 +400,35 @@ impl RunnerCore {
                 }
             }
             if let Some(fired) = fired.as_mut() {
-                fired.push(crate::trace::fired_arc(arc, state, &dv));
+                fired.push(crate::trace::fired_arc(arc, cfg.state, &dv));
             }
-            let mut new_item = cfg_item;
+            let mut new_item = cfg.item;
             for action in &arc.actions {
-                self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
+                self.execute(hpdt, action, arc.owner, event, &dv, cfg.item, &mut new_item);
             }
-            if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
-                dv.pop_mut();
+            if !m.stays {
+                if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
+                    dv.pop_mut();
+                }
+                born.push(Config {
+                    state: arc.target,
+                    dv,
+                    item: new_item,
+                });
             }
-            next.push(Config {
-                state: arc.target,
-                dv,
-                item: new_item,
-            });
         }
-        // Deduplicate successors (closures can re-derive the same
-        // (state, dv) along several arcs). Sort+dedup keeps the per-event
-        // cost O(n log n) even when recursion inflates the set.
-        if next.len() > 1 {
-            next.sort_unstable();
-            next.dedup();
+        self.configs = cur;
+        let changed = apply_step(&mut self.configs, &mut dropped, &mut born);
+        if changed {
+            self.peak_configs = self.peak_configs.max(self.configs.len());
         }
-        self.spare_configs = cur;
-        self.configs = next;
-        self.peak_configs = self.peak_configs.max(self.configs.len());
         self.scratch_matches = matches;
-        self.scratch_uses = uses;
+        self.scratch_dropped = dropped;
+        self.scratch_born = born;
+        debug_assert!(
+            self.configs.windows(2).all(|w| w[0] < w[1]),
+            "configuration set must stay strictly sorted and duplicate-free"
+        );
 
         // Phase 3: emit whatever is now determined, in document order.
         self.drain(sink);
@@ -386,7 +447,27 @@ impl RunnerCore {
         if let Some(tracer) = tracer {
             self.emit_trace(event, fired.unwrap_or_default(), tracer);
         }
-        true
+        changed
+    }
+
+    /// With a tracer attached, list the plain `//` loops the plan keeps
+    /// out of Phase 1 as firings: they accept the event exactly when
+    /// `label_matches` says so, stay put, and run no actions, so adding
+    /// them changes nothing but the trace.
+    #[cold]
+    fn trace_persisted_loops(&self, hpdt: &Hpdt, event: &RawEvent<'_>, matches: &mut Vec<Match>) {
+        for (ci, cfg) in self.configs.iter().enumerate() {
+            for (ai, arc) in hpdt.arcs[cfg.state as usize].iter().enumerate() {
+                if hpdt.plan().omits(arc, cfg.state) && arc.label_matches(event, &cfg.dv) {
+                    matches.push(Match {
+                        order: crate::arcs::arc_order(arc),
+                        ci: ci as u32,
+                        arc: ai as u32,
+                        stays: true,
+                    });
+                }
+            }
+        }
     }
 
     #[cold]
@@ -580,12 +661,13 @@ impl RunnerCore {
         self.configs.len()
     }
 
-    /// The states of the live configurations, deduplicated — the frontier
-    /// the dispatch index derives a runner's event interest from.
+    /// The states of the live configurations, ascending and
+    /// deduplicated — the frontier the dispatch index derives a runner's
+    /// event interest from. The set is kept sorted by state first, so a
+    /// dedup suffices.
     pub fn frontier_states(&self, out: &mut Vec<StateId>) {
         out.clear();
         out.extend(self.configs.iter().map(|c| c.state));
-        out.sort_unstable();
         out.dedup();
     }
 
@@ -839,20 +921,77 @@ mod tests {
     }
 
     #[test]
-    fn core_feed_reports_whether_arcs_fired() {
+    fn core_feed_reports_whether_the_configuration_set_changed() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt, true);
         let mut sink = crate::sink::TaggedVecSink::new();
         let events = xsq_xml::parse_to_events(b"<a><z>skip</z><b>hit</b></a>").unwrap();
-        let mut fired = Vec::new();
+        let mut changed = Vec::new();
         for e in &events {
-            fired.push(core.feed(&hpdt, e, &mut sink));
+            changed.push(core.feed(&hpdt, e, &mut sink));
         }
-        // StartDocument, <a>, <b>, text, </b>, </a>, EndDocument all move
-        // configurations; <z> and its text do not.
-        assert!(fired[0] && fired[1]);
-        assert!(!fired[2] && !fired[3], "irrelevant element must not fire");
+        // The brackets and the <a>, <b> begin/end events move the
+        // configuration; <z> and its text match nothing, and the text of
+        // <b> fires only the emitting self-loop, which leaves it in place.
+        let (t, f) = (true, false);
+        assert_eq!(changed, [t, t, f, f, f, t, f, t, t, t]);
         assert_eq!(sink.of(0), ["hit"]);
+    }
+
+    #[test]
+    fn closure_descent_leaves_the_configuration_set_in_place() {
+        let hpdt = build_hpdt(&parse_query("//b//c/text()").unwrap()).unwrap();
+        let mut core = RunnerCore::new(&hpdt, true);
+        let mut sink = crate::sink::TaggedVecSink::new();
+        let doc = b"<a><x><y/></x><b><x><c>1</c></x></b></a>";
+        let events = xsq_xml::parse_to_events(doc).unwrap();
+        let mut changed = Vec::new();
+        for e in &events[..7] {
+            changed.push(core.feed(&hpdt, e, &mut sink));
+        }
+        // <x>, <y> below the `//` anchor only fire the persisted loop.
+        assert!(!changed[2] && !changed[3], "{changed:?}");
+        // <b> enters the second step; the first step's config persists.
+        assert!(changed[6]);
+        assert_eq!(core.config_count(), 2);
+        for e in &events[7..] {
+            core.feed(&hpdt, e, &mut sink);
+        }
+        assert_eq!(sink.of(0), ["1"]);
+    }
+
+    #[test]
+    fn apply_step_keeps_the_set_sorted_and_reports_real_changes() {
+        let c = |state, depths: &[u32]| Config {
+            state,
+            dv: DepthVector::from_depths(depths),
+            item: None,
+        };
+        let base = vec![c(1, &[0]), c(2, &[0, 1]), c(2, &[0, 2]), c(5, &[0, 1, 3])];
+        let run = |dropped: &[u32], born: Vec<Config>| {
+            let mut set = base.clone();
+            let changed = apply_step(&mut set, &mut dropped.to_vec(), &mut born.clone());
+            let mut want: Vec<Config> = base
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !dropped.contains(&(*i as u32)))
+                .map(|(_, x)| x.clone())
+                .chain(born)
+                .collect();
+            want.sort();
+            want.dedup();
+            assert_eq!(set, want);
+            changed
+        };
+        assert!(!run(&[], vec![]));
+        assert!(!run(&[], vec![c(2, &[0, 2])]), "already present");
+        assert!(!run(&[1], vec![c(2, &[0, 1])]), "re-derived");
+        assert!(run(&[0, 3], vec![]));
+        assert!(run(
+            &[],
+            vec![c(0, &[]), c(3, &[0]), c(9, &[0]), c(3, &[0])]
+        ));
+        assert!(run(&[1, 2], vec![c(2, &[0, 1, 4]), c(6, &[0])]));
     }
 
     #[test]

@@ -194,6 +194,28 @@ fn analyze_json_matches_golden_snapshots() {
     }
 }
 
+/// `--trace` keeps narrating every arc that fires, including the `//`
+/// self-loops the runtime no longer probes (their configurations persist
+/// through begin events): the walkthrough of a closure query over
+/// `pub`-in-`pub` and `book`-in-`book` data must stay byte-identical to
+/// the snapshot taken before that change.
+#[test]
+fn trace_of_a_closure_query_on_recursive_data_matches_the_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let doc = format!("{root}/tests/golden/trace_closure_recursive.xml");
+    let out = xsq()
+        .args(["--trace", "//pub[year]//book[@id]/title/text()", &doc])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), "T1\nT2\nT4\n");
+    let expected =
+        std::fs::read_to_string(format!("{root}/tests/golden/trace_closure_recursive.txt"))
+            .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr == expected, "trace drift:\n{stderr}");
+}
+
 /// The CI bounds smoke contract: with the dblp DTD, the paper's
 /// closure-free buffering query must report a *finite* bound — the
 /// tentpole's showcase tightening — and the text renderer must carry
