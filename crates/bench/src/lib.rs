@@ -1,9 +1,8 @@
 //! # xsq-bench — the experiment harness for §6 of the paper
 //!
 //! One function per table/figure of the evaluation section
-//! ([`experiments`]), shared by the `experiments` binary (which prints
-//! paper-style tables) and the Criterion benches (which measure the same
-//! workloads under a statistics harness).
+//! ([`experiments`]), used by the `experiments` binary, which prints
+//! paper-style tables.
 //!
 //! Methodology notes (matching §6):
 //!

@@ -27,6 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{Error, Result};
+use crate::parser::DeclScan;
 
 /// An occurrence count read off a content model: either a concrete
 /// maximum or "no static limit" (a `*`/`+` repetition on the path).
@@ -789,13 +790,13 @@ impl<'a> ModelCursor<'a> {
 /// Extract and parse the internal DTD subset of a document's `DOCTYPE`
 /// declaration, if any: `<!DOCTYPE name [ …subset… ]>`.
 pub fn extract_from_document(input: &[u8]) -> Option<Dtd> {
-    let text = std::str::from_utf8(input).ok()?;
-    let start = text.find("<!DOCTYPE")?;
-    let open = text[start..].find('[')? + start;
-    // Find the matching ']' (the subset itself contains no brackets in
-    // the declarations we read).
-    let close = text[open..].find(']')? + open;
-    Dtd::parse(&text[open + 1..close]).ok()
+    let start = input.windows(9).position(|w| w == b"<!DOCTYPE")?;
+    // The tokenizer's own declaration scan finds the subset's end, so a
+    // `]` inside a literal, comment or PI cannot cut the subset short.
+    let body = &input[start + 2..];
+    let mut scan = DeclScan::default();
+    scan.feed(body)?;
+    Dtd::parse(std::str::from_utf8(&body[scan.subset()?]).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -1014,5 +1015,22 @@ mod tests {
         assert_eq!(dtd.children_of("r").collect::<Vec<_>>(), ["a"]);
         assert!(extract_from_document(b"<r/>").is_none());
         assert!(extract_from_document(b"<!DOCTYPE r SYSTEM \"x.dtd\"><r/>").is_none());
+    }
+
+    #[test]
+    fn subset_end_skips_brackets_in_literals_comments_and_pis() {
+        // The subset ends at the `]` the tokenizer's own scan finds, not
+        // at the first `]` byte; a `[` in the system literal opens nothing.
+        let doc = br#"<!DOCTYPE r SYSTEM "x[.dtd" [
+              <!ELEMENT r (a*)>
+              <!-- ] -->
+              <?pi ]> ?>
+              <!ATTLIST r v CDATA "]">
+              <!ELEMENT a (#PCDATA)>
+            ]><r/>"#;
+        let dtd = extract_from_document(doc).expect("subset present");
+        assert_eq!(dtd.children_of("r").collect::<Vec<_>>(), ["a"]);
+        assert!(dtd.declares("a"));
+        assert!(extract_from_document(b"<!DOCTYPE r [<!ELEMENT r EMPTY>").is_none());
     }
 }

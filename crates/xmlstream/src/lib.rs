@@ -36,7 +36,7 @@ pub mod event;
 pub mod parser;
 pub mod pda;
 pub mod pure;
-pub mod push;
+mod push;
 pub mod scan;
 pub mod stats;
 pub mod symbol;
@@ -47,7 +47,7 @@ pub use event::{Attribute, RawEvent, SaxEvent};
 pub use parser::{ParsePoll, StreamParser};
 pub use pda::WellFormednessPda;
 pub use pure::PureParser;
-pub use push::{ChunkBuf, PushParser};
+pub use push::PushParser;
 pub use stats::{dataset_stats, DatasetStats};
 pub use symbol::Sym;
 pub use writer::{DocumentWriter, WriteError, XmlWriter};

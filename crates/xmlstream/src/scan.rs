@@ -1,9 +1,9 @@
 //! Runtime-dispatched delimiter-scan kernels: the tokenizer's memchr.
 //!
-//! The parser spends most of its time finding the next `<` in character
-//! data and the closing quote of an attribute value, and the push-mode
-//! pre-scanner ([`crate::push::ChunkBuf`]) spends its time finding token
-//! boundaries. Scanning those runs byte-at-a-time leaves most of every
+//! The tokenizer — one for pull and push parsing — spends most of its
+//! time finding the next `<` in character data, the closing quote of an
+//! attribute value, and the terminators of comments, PIs and CDATA
+//! sections. Scanning those runs byte-at-a-time leaves most of every
 //! cache line on the floor, so this module provides a family of kernels
 //! and picks the fastest one the CPU supports, once, at first use:
 //!

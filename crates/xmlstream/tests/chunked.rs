@@ -1,20 +1,22 @@
 //! Streaming-boundary differential test (ISSUE: spec-conformance PR).
 //!
-//! Feeds documents through 1-, 3- and 7-byte chunked readers so that
+//! Feeds documents through chunked readers of every chunk size so that
 //! every hazard the tokenizer handles statefully — multi-byte UTF-8
 //! sequences, the CDATA `]]>` terminator, and `\r\n` line endings that
 //! must normalize to a single `\n` — gets split across `fill_buf`
 //! refills, and asserts the event stream is identical to a
 //! whole-buffer parse.
 //!
-//! The same corpus doubles as the conformance oracle for the push API
-//! (ISSUE 5): every document is also fed through
-//! [`StreamParser::push`] in the same chunk sizes, polling between
-//! pushes, and must yield the identical event stream again.
+//! The same corpus doubles as the conformance oracle for the push API:
+//! every document is also fed through [`StreamParser::push`] in the same
+//! chunk sizes, polling between pushes, and must yield the identical
+//! event stream (or identical error) again. Push chunks that end
+//! mid-token leave the tokenizer in a resume state; the linear-work test
+//! at the bottom checks it never rescans a partial token.
 
 use std::io::{BufRead, Read};
 
-use xsq_xml::{parse_to_events, ParsePoll, SaxEvent, StreamParser};
+use xsq_xml::{parse_to_events, ParsePoll, PushParser, SaxEvent, StreamParser};
 
 /// A reader that yields at most `chunk` bytes per `fill_buf` call.
 struct Chunked<'a> {
@@ -42,49 +44,67 @@ impl BufRead for Chunked<'_> {
     }
 }
 
-fn parse_chunked(data: &[u8], chunk: usize) -> Vec<SaxEvent> {
+fn parse_chunked(data: &[u8], chunk: usize) -> Result<Vec<SaxEvent>, String> {
     let mut parser = StreamParser::new(Chunked {
         data,
         pos: 0,
         chunk,
     });
     let mut out = Vec::new();
-    while let Some(ev) = parser.next_event().expect("chunked parse failed") {
+    while let Some(ev) = parser.next_event().map_err(|e| e.to_string())? {
         out.push(ev);
     }
-    out
+    Ok(out)
 }
 
 /// Push-feed the document in `chunk`-byte pieces, polling to
 /// exhaustion between pushes.
-fn parse_pushed(data: &[u8], chunk: usize) -> Vec<SaxEvent> {
+fn parse_pushed(data: &[u8], chunk: usize) -> Result<Vec<SaxEvent>, String> {
     let mut parser = StreamParser::push_mode();
     let mut out = Vec::new();
-    let mut drain = |p: &mut xsq_xml::PushParser| {
-        while let ParsePoll::Event(ev) = p.poll_raw().expect("pushed parse failed") {
+    let mut drain = |p: &mut PushParser| -> Result<(), String> {
+        while let ParsePoll::Event(ev) = p.poll_raw().map_err(|e| e.to_string())? {
             out.push(ev.to_owned());
         }
+        Ok(())
     };
     for piece in data.chunks(chunk) {
         parser.push(piece);
-        drain(&mut parser);
+        drain(&mut parser)?;
     }
     parser.finish();
-    drain(&mut parser);
-    out
+    drain(&mut parser)?;
+    Ok(out)
 }
 
-/// Every chunk size must produce the event stream of a whole-buffer
-/// parse — through the pull parser over a starving reader *and*
-/// through the push API.
-fn assert_boundary_independent(doc: &str) {
-    let whole = parse_to_events(doc.as_bytes()).unwrap();
-    for chunk in [1, 3, 7] {
+/// The chunk sizes every document is fed at: all of them (Miri runs a
+/// few, the interpreter being orders of magnitude slower).
+fn chunk_sizes(len: usize) -> Vec<usize> {
+    if cfg!(miri) {
+        vec![1, 3, 7]
+    } else {
+        (1..=len.max(1)).collect()
+    }
+}
+
+/// Every chunk size must produce the outcome of a whole-buffer parse —
+/// the same events, or the same error down to its message, offset and
+/// context — through the pull parser over a starving reader *and*
+/// through the push API. Returns the one-shot outcome.
+fn same_outcome_at_every_chunk_size(doc: &str) -> Result<Vec<SaxEvent>, String> {
+    let whole = parse_to_events(doc.as_bytes()).map_err(|e| e.to_string());
+    for chunk in chunk_sizes(doc.len()) {
         let chunked = parse_chunked(doc.as_bytes(), chunk);
         assert_eq!(chunked, whole, "chunk size {chunk} diverged for {doc:?}");
         let pushed = parse_pushed(doc.as_bytes(), chunk);
         assert_eq!(pushed, whole, "push chunk {chunk} diverged for {doc:?}");
     }
+    whole
+}
+
+/// A well-formed document parses to the same events at every chunk size.
+fn assert_boundary_independent(doc: &str) -> Vec<SaxEvent> {
+    same_outcome_at_every_chunk_size(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"))
 }
 
 #[test]
@@ -135,4 +155,85 @@ fn combined_hazards_one_document() {
          <pub year=\"2002\r\n2003\"><book id=\"1\"><name>日本\r\nLanguage</name>\
          <![CDATA[x]]y\r\nz🚀]]><price>10.5</price></book><?pi data?></pub>",
     );
+}
+
+#[test]
+fn doctype_brackets_inside_literals_comments_and_pis() {
+    // A `>`, `[` or `]` inside a quoted literal, a comment or a PI does
+    // not end the declaration or its internal subset.
+    let plain = parse_to_events(b"<a/>").unwrap();
+    for doc in [
+        "<!DOCTYPE a SYSTEM \"x>y.dtd\"><a/>",
+        "<!DOCTYPE a [<!ENTITY e \"]>\">]><a/>",
+        "<!DOCTYPE a [<!ATTLIST a v CDATA \"[\">]><a/>",
+        "<!DOCTYPE a [<!-- ] > -->]><a/>",
+        "<!DOCTYPE a [<?pi ]> ?>]><a/>",
+        "<!DOCTYPE a PUBLIC '-//x//y' \"z'>\" [<!ENTITY e 'a\"]'>]><a/>",
+    ] {
+        assert_eq!(assert_boundary_independent(doc), plain, "{doc:?}");
+    }
+}
+
+#[test]
+fn malformed_documents_error_identically_at_every_chunk_size() {
+    for doc in [
+        "<a><b></a></b>",
+        "<a></a></b>",
+        "<a><b>",
+        "hello<a/>",
+        "<a/><b/>",
+        "",
+        "  ",
+        "<a id=1/>",
+        "<a id></a>",
+        "<a id=></a>",
+        "<a id='<'/>",
+        "<a id='1'/ >",
+        "<a><></a>",
+        "<a></a x>",
+        "<a><!-- oops</a>",
+        "<a><!-x--></a>",
+        "<a><![CDATX[x]]></a>",
+        "<![CDATA[x]]><a/>",
+        "<a><![CDATA[never closed]]</a>",
+        "<a><?pi never closed</a>",
+        "<!DOCTYPE a [<!ENTITY e \"]>\"><a/>",
+        "<a>&bogus;</a>",
+        "<a>\u{e9}&#xZZ;</a>",
+        "<a>x</a>trailing",
+        "<a x='\u{1F680}'",
+        "<a><",
+        "<a></a",
+    ] {
+        assert!(
+            same_outcome_at_every_chunk_size(doc).is_err(),
+            "{doc:?} parsed"
+        );
+    }
+}
+
+/// One construct of 256 KiB, pushed a byte at a time, must parse to the
+/// one-shot events. Each push ends mid-token, so a tokenizer that
+/// rescanned a partial token from its start would make ~3×10¹⁰ byte
+/// visits per construct and not finish; resuming makes it linear.
+#[test]
+fn one_byte_pushes_through_huge_tokens_are_linear() {
+    let n = if cfg!(miri) { 1 << 10 } else { 256 << 10 };
+    let filler = |unit: &str| unit.repeat(n / unit.len());
+    let docs = [
+        format!("<a v=\"{}\"/>", filler("x &amp; y\r\n")),
+        format!("<a><!--{}--></a>", filler("c - > ")),
+        format!("<a><![CDATA[{}]]></a>", filler("d ] ]> ")),
+        format!("<a><?pi {}?></a>", filler("e ? > ")),
+        format!(
+            "<!DOCTYPE a [{}]><a/>",
+            filler("<!ENTITY e \"]>\"><!-- ] --><?p ]>?>")
+        ),
+        format!("<a>{}</a>", filler("t &lt; \u{e9}\r\n")),
+    ];
+    for doc in &docs {
+        let whole = parse_to_events(doc.as_bytes()).map_err(|e| e.to_string());
+        assert!(whole.is_ok(), "{}: {whole:?}", &doc[..40]);
+        assert_eq!(parse_pushed(doc.as_bytes(), 1), whole, "{}", &doc[..40]);
+    }
 }

@@ -149,11 +149,12 @@ fn steady_state_no_match_loop_performs_zero_allocations() {
     );
 
     // --- push-mode parser hot loop ------------------------------------
-    // The push path buffers bytes in a ChunkBuf that the pre-scanner
-    // walks with the same dispatch kernels as the pull path. Feed the
-    // document in 1 KiB chunks, polling to exhaustion between pushes so
-    // the buffer compacts: once the first half has sized the scratch
-    // buffers and the ChunkBuf, the second half must not allocate.
+    // The push path runs the same resumable tokenizer over a byte queue;
+    // a chunk that ends mid-token leaves the partial token in the
+    // scratch buffers. Feed the document in 1 KiB chunks, polling to
+    // exhaustion between pushes so the queue drains: once the first
+    // half has sized the scratch buffers and the queue, the second half
+    // must not allocate.
     let mut parser = StreamParser::push_mode();
     let mut fed = 0u64;
     let mut baseline = 0u64;
