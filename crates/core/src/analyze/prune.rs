@@ -163,6 +163,17 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         }
     }
 
+    // A pair loses its meaning with either state: pruning a dead witness
+    // leaves the NA state without a reachable TRUE twin.
+    let na_twins = hpdt
+        .na_twins
+        .iter()
+        .filter_map(|&(na, t)| {
+            let at = |s: StateId| remap.get(s as usize).copied().flatten();
+            Some((at(na)?, at(t)?))
+        })
+        .collect();
+
     let scan_all = compute_scan_all(&arcs);
     let buffered = uses_buffers(&arcs);
     let start = remap[hpdt.start as usize].expect("start state is always reachable");
@@ -175,6 +186,7 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         states,
         arcs,
         queue_index,
+        na_twins,
         layers: hpdt.layers,
         deterministic: hpdt.deterministic,
         query: hpdt.query.clone(),
@@ -220,6 +232,7 @@ mod tests {
             assert_eq!(p.arc_count(), h.arc_count());
             assert_eq!(p.bpdt_count, h.bpdt_count);
             assert_eq!(p.queue_index, h.queue_index);
+            assert_eq!(p.na_twins, h.na_twins);
             assert_eq!(p.scan_all, h.scan_all);
             assert_eq!(p.buffered, h.buffered);
         }

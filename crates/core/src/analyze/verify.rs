@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use xsq_xpath::classify::{classify, StepCategory};
 
-use crate::arcs::{Action, Arc, ArcLabel, Disposition};
+use crate::arcs::{Action, Arc, ArcLabel, Disposition, StateRole};
 use crate::build::{compute_scan_all, Hpdt};
 use crate::ids::BpdtId;
 
@@ -48,6 +48,7 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
 
     check_arc_targets(hpdt, &mut out);
     check_queue_index(hpdt, &mut out);
+    check_na_twins(hpdt, &mut out);
     check_reachability(hpdt, &mut out);
     check_buffer_release(hpdt, &mut out);
     check_depth_discipline(hpdt, &mut out);
@@ -92,8 +93,9 @@ fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 }
 
 /// Every buffer-addressing id the runtime will look up must be in the
-/// dense queue index — this is exactly the `queue_idx` lookup that
-/// `expect`s at runtime, surfaced as a diagnostic instead.
+/// dense queue index — this is exactly the lookup that the candidate
+/// plan (`arcs::ArcPlan`) `expect`s when it resolves queue slots,
+/// surfaced as a diagnostic instead.
 fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     let require = |id: BpdtId, what: &str, state: usize, out: &mut Vec<Diagnostic>| {
         if !hpdt.queue_index.contains_key(&id) {
@@ -147,6 +149,47 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             "queue-index-dense",
             "queue slots are not the dense range 0..bpdt_count".to_string(),
         ));
+    }
+}
+
+/// Each `(NA, TRUE)` pair the runtime retires by must name two states in
+/// bounds that one BPDT owns, in the roles NA and TRUE, with at most one
+/// pair per BPDT. A wrong pair would retire a configuration the query
+/// still needs, or index the plan's per-state table out of bounds.
+fn check_na_twins(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
+    let n = hpdt.states.len();
+    let mut owners: Vec<BpdtId> = Vec::with_capacity(hpdt.na_twins.len());
+    for &(na, t) in &hpdt.na_twins {
+        let bad = |message: String| Diagnostic::error("na-twin", message).at_state(na);
+        if na as usize >= n || t as usize >= n {
+            out.push(bad(format!(
+                "pair (${na}, ${t}) names a state past the {n} that exist"
+            )));
+            continue;
+        }
+        let (a, b) = (&hpdt.states[na as usize], &hpdt.states[t as usize]);
+        if a.owner != b.owner {
+            out.push(
+                bad(format!(
+                    "pair (${na}, ${t}) spans two BPDTs, {} and {}",
+                    a.owner, b.owner
+                ))
+                .at_bpdt(a.owner),
+            );
+        } else if a.role != StateRole::Na || b.role != StateRole::True {
+            out.push(
+                bad(format!(
+                    "pair (${na}, ${t}) has roles {:?}/{:?}, not Na/True",
+                    a.role, b.role
+                ))
+                .at_bpdt(a.owner),
+            );
+        } else if owners.contains(&a.owner) {
+            out.push(
+                bad(format!("{} has more than one (NA, TRUE) pair", a.owner)).at_bpdt(a.owner),
+            );
+        }
+        owners.push(a.owner);
     }
 }
 
@@ -548,7 +591,8 @@ mod tests {
     fn missing_queue_slot_is_caught() {
         let mut h = built("/a[b]/c/text()");
         // Corrupt the transducer the way a builder bug would: drop the
-        // queue registration the runtime's `queue_idx` would panic on.
+        // queue registration the plan's queue-slot resolution would
+        // panic on.
         let id = BpdtId::new(1, 1);
         h.queue_index.remove(&id);
         h.bpdt_count -= 1;
@@ -559,6 +603,30 @@ mod tests {
                 .any(|d| d.is_error() && d.code == "queue-index-missing"),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn corrupted_na_twins_are_caught() {
+        let h = built("//pub[year]//book[title]//price/text()");
+        assert!(h.na_twins.len() >= 3, "{:?}", h.na_twins);
+        let (na, t) = h.na_twins[0];
+        let (_, t2) = h.na_twins[1];
+        for (what, pairs) in [
+            ("out of bounds", vec![(na, 999)]),
+            ("two owners", vec![(na, t2)]),
+            ("swapped roles", vec![(t, na)]),
+            ("twice per BPDT", vec![(na, t), (na, t)]),
+            ("start state", vec![(h.start, t)]),
+        ] {
+            let mut h = built("//pub[year]//book[title]//price/text()");
+            h.na_twins = pairs;
+            let diags = verify(&h);
+            assert!(
+                diags.iter().any(|d| d.is_error() && d.code == "na-twin"),
+                "{what}: {diags:?}"
+            );
+        }
+        assert!(!has_errors(&verify(&h)));
     }
 
     #[test]

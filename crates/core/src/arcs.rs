@@ -8,6 +8,8 @@
 //! their tag at any depth, and the catchall `*̄` that accepts any event
 //! strictly below the current anchor (used for whole-element output).
 
+use std::collections::HashMap;
+
 use xsq_xml::{RawEvent, Sym};
 use xsq_xpath::{Comparison, FnTest};
 
@@ -348,6 +350,22 @@ fn loops_persist(outgoing: &[Arc], state: usize) -> bool {
     })
 }
 
+/// The queues an action addresses: whether it touches its owner's
+/// queue, and the other BPDT whose queue it writes (an upload's target,
+/// an enqueue's destination).
+fn queues_of(action: &Action) -> (bool, Option<BpdtId>) {
+    match action {
+        Action::FlushSelf | Action::ClearSelf => (true, None),
+        Action::UploadSelf(target) => (true, Some(*target)),
+        Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
+            Disposition::OwnQueue => (true, None),
+            Disposition::Queue(id) => (false, Some(*id)),
+            Disposition::Direct => (false, None),
+        },
+        Action::ElementAppend | Action::ElementEnd => (false, None),
+    }
+}
+
 /// Execution order among arcs fired by one event (see `Arc::priority`
 /// and the layer note on `Arc::owner_layer`): deepest layer first, then
 /// value production, flush/upload, clear. Smaller runs first.
@@ -367,6 +385,21 @@ pub(crate) struct Cand {
     /// that neither opens nor closes an element item. The configuration
     /// survives and no successor is derived; only the actions run.
     pub(crate) stays: bool,
+    /// Where the arc's queue slots start in `ArcPlan::queues` (see
+    /// [`ArcPlan::queue_slots`]).
+    pub(crate) queues: u32,
+}
+
+/// A state's part in its BPDT's `(NA, TRUE)` pair (`Hpdt::na_twins`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Twin {
+    Unpaired,
+    /// A TRUE state: entering it retires the configuration at this NA
+    /// state with the same depth vector and item.
+    Retires(StateId),
+    /// An NA state: a configuration may not enter it while the one at
+    /// this TRUE state with the same depth vector and item is live.
+    YieldsTo(StateId),
 }
 
 /// Where one (state, event kind) slot's candidates live.
@@ -396,6 +429,10 @@ struct Slot {
 /// accepts every begin event any other arc of the state accepts, so
 /// "the configuration survives every begin event" says the same thing
 /// without probing the loop on every event.
+///
+/// The plan also resolves what the runtime would otherwise look up per
+/// action or per successor: the dense queue slot every buffer action
+/// addresses, and each state's part in its BPDT's `(NA, TRUE)` pair.
 #[derive(Debug)]
 pub(crate) struct ArcPlan {
     /// `slots[state * KINDS + kind]`.
@@ -403,18 +440,48 @@ pub(crate) struct ArcPlan {
     /// `(tag, start, end)`: the candidate range of `cands` for that tag.
     keys: Vec<(Sym, u32, u32)>,
     cands: Vec<Cand>,
+    /// Per arc with actions: its owner's queue slot, then one slot per
+    /// action (see [`Self::queue_slots`]).
+    queues: Vec<u32>,
+    /// Per state.
+    twins: Vec<Twin>,
 }
+
+/// Queue slot of an action that addresses no queue.
+const NO_QUEUE: u32 = u32::MAX;
 
 impl ArcPlan {
     /// Build the plan for a transition function. `scan_all` is the
     /// per-state flag of [`crate::build::Hpdt::scan_all`]: only states
     /// that never stop at a first match may drop their loops.
-    pub(crate) fn build(arcs: &[Vec<Arc>], scan_all: &[bool]) -> ArcPlan {
+    /// `queue_index` and `na_twins` are the HPDT's fields of those names.
+    ///
+    /// # Panics
+    ///
+    /// If a buffer action addresses a BPDT with no queue slot, which
+    /// [`crate::analyze::verify`] reports as `queue-index-missing`.
+    pub(crate) fn build(
+        arcs: &[Vec<Arc>],
+        scan_all: &[bool],
+        queue_index: &HashMap<BpdtId, usize>,
+        na_twins: &[(StateId, StateId)],
+    ) -> ArcPlan {
         let arc_count: usize = arcs.iter().map(Vec::len).sum();
         let mut plan = ArcPlan {
             slots: Vec::with_capacity(arcs.len() * KINDS),
             keys: Vec::with_capacity(arc_count),
             cands: Vec::with_capacity(2 * arc_count),
+            queues: Vec::new(),
+            twins: vec![Twin::Unpaired; arcs.len()],
+        };
+        for &(na, t) in na_twins {
+            plan.twins[t as usize] = Twin::Retires(na);
+            plan.twins[na as usize] = Twin::YieldsTo(t);
+        }
+        let slot_of = |id: BpdtId| {
+            *queue_index
+                .get(&id)
+                .expect("a buffer action addresses a registered queue") as u32
         };
         // Per arc of the current state: the kinds it is a candidate
         // for (none for an omitted loop), its tag, and its candidate.
@@ -440,7 +507,23 @@ impl ArcPlan {
                     arc: ai as u32,
                     order: arc_order(arc),
                     stays,
+                    queues: plan.queues.len() as u32,
                 };
+                if !arc.actions.is_empty() {
+                    let own = if arc.actions.iter().any(|a| queues_of(a).0) {
+                        slot_of(arc.owner)
+                    } else {
+                        NO_QUEUE
+                    };
+                    plan.queues.push(own);
+                    for action in &arc.actions {
+                        plan.queues.push(match queues_of(action) {
+                            (_, Some(other)) => slot_of(other),
+                            (true, None) => own,
+                            (false, None) => NO_QUEUE,
+                        });
+                    }
+                }
                 meta.push((kinds, tag, cand));
             }
             for kind in 0..KINDS {
@@ -508,6 +591,40 @@ impl ArcPlan {
             _ => slot.rest,
         };
         (&self.cands[lo as usize..hi as usize], slot.persist)
+    }
+
+    /// The queue slots of the arc whose candidate carries `queues`, for
+    /// its action `action`: `(own, addressed)`, the owner's slot and the
+    /// slot that action addresses — the upload target, an enqueue's
+    /// destination, or the owner's own for flush and clear. Only valid
+    /// for an action that addresses a queue.
+    #[inline]
+    pub(crate) fn queue_slots(&self, queues: u32, action: usize) -> (usize, usize) {
+        let at = queues as usize;
+        (
+            self.queues[at] as usize,
+            self.queues[at + 1 + action] as usize,
+        )
+    }
+
+    /// The NA state whose configuration a configuration entering the
+    /// TRUE state `state` retires, if `state` is a paired TRUE state.
+    #[inline]
+    pub(crate) fn retires(&self, state: StateId) -> Option<StateId> {
+        match self.twins[state as usize] {
+            Twin::Retires(na) => Some(na),
+            _ => None,
+        }
+    }
+
+    /// The TRUE state whose live configuration keeps one from entering
+    /// the NA state `state`, if `state` is a paired NA state.
+    #[inline]
+    pub(crate) fn yields_to(&self, state: StateId) -> Option<StateId> {
+        match self.twins[state as usize] {
+            Twin::YieldsTo(t) => Some(t),
+            _ => None,
+        }
     }
 
     /// Is `arc` a plain `//` loop this plan leaves out of `state`'s begin
@@ -676,6 +793,11 @@ mod tests {
         assert!(!matches(&a, &end("pub", 2), &dv));
     }
 
+    /// The plan of a transition function with no buffers and no pairs.
+    fn plan_of(arcs: &[Vec<Arc>], scan_all: &[bool]) -> ArcPlan {
+        ArcPlan::build(arcs, scan_all, &HashMap::new(), &[])
+    }
+
     /// The plan's candidates for `ev` on state 0 of `outgoing`.
     fn plan_candidates(plan: &ArcPlan, ev: &SaxEvent) -> (Vec<u32>, bool) {
         let raw = ev.as_raw();
@@ -700,7 +822,7 @@ mod tests {
         outgoing.push(arc(ArcLabel::TextChild(NamePat::Name("t3".into()))));
         outgoing.push(arc(ArcLabel::Catchall));
         outgoing.push(arc(ArcLabel::StartDoc));
-        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
+        let plan = plan_of(std::slice::from_ref(&outgoing), &[true]);
 
         let events = [
             begin("t3", 2),
@@ -738,7 +860,7 @@ mod tests {
             arc(ArcLabel::BeginAnyDepth(NamePat::Name("b".into()))),
             arc(ArcLabel::End(NamePat::Name("a".into()))),
         ];
-        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
+        let plan = plan_of(std::slice::from_ref(&outgoing), &[true]);
         assert_eq!(plan_candidates(&plan, &begin("b", 3)), (vec![1], true));
         assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![], true));
         // Persist is a begin-slot bit only.
@@ -754,7 +876,7 @@ mod tests {
         assert_eq!(probe, [true, true], "the tracer still sees the loop fire");
 
         // A state that may stop at its first match keeps the loop.
-        let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[false]);
+        let plan = plan_of(std::slice::from_ref(&outgoing), &[false]);
         assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![0], false));
 
         // Guarded or action-bearing loops are not plain: they stay.
@@ -769,7 +891,7 @@ mod tests {
         ] {
             let mut outgoing = outgoing.clone();
             tweak(&mut outgoing[0]);
-            let plan = ArcPlan::build(std::slice::from_ref(&outgoing), &[true]);
+            let plan = plan_of(std::slice::from_ref(&outgoing), &[true]);
             assert_eq!(plan_candidates(&plan, &begin("zz", 3)), (vec![0], false));
         }
     }
@@ -799,7 +921,7 @@ mod tests {
         close.label = ArcLabel::TextSelf(NamePat::Any);
         close.actions = vec![Action::ElementEnd];
         let moving = arc(ArcLabel::TextChild(NamePat::Any));
-        let plan = ArcPlan::build(&[vec![append, close, moving]], &[true]);
+        let plan = plan_of(&[vec![append, close, moving]], &[true]);
         let raw = text("x", "t", 2);
         let (kind, tag) = event_kind(&raw.as_raw());
         let stays: Vec<bool> = plan

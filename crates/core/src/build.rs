@@ -50,6 +50,11 @@ pub struct Hpdt {
     pub queue_index: HashMap<BpdtId, usize>,
     /// Number of BPDTs (= number of queues).
     pub bpdt_count: usize,
+    /// The `(NA, TRUE)` state pair of every BPDT whose predicate is
+    /// decided after its begin event. A configuration that enters the
+    /// TRUE state retires the NA configuration with the same depth
+    /// vector and item (see [`crate::runtime`]).
+    pub na_twins: Vec<(StateId, StateId)>,
     /// Number of location steps (for a merged HPDT: the longest path).
     pub layers: u16,
     /// The query this HPDT answers (for a merged HPDT: the first member,
@@ -76,8 +81,14 @@ impl Hpdt {
     /// compilation (built, verified, then pruned) never pay for one;
     /// the transition function must not change after the HPDT has run.
     pub(crate) fn plan(&self) -> &ArcPlan {
-        self.plan
-            .get_or_init(|| ArcPlan::build(&self.arcs, &self.scan_all))
+        self.plan.get_or_init(|| {
+            ArcPlan::build(
+                &self.arcs,
+                &self.scan_all,
+                &self.queue_index,
+                &self.na_twins,
+            )
+        })
     }
 
     /// Total number of transition arcs.
@@ -129,6 +140,7 @@ struct Builder {
     states: Vec<StateInfo>,
     arcs: Vec<Vec<Arc>>,
     queue_index: HashMap<BpdtId, usize>,
+    na_twins: Vec<(StateId, StateId)>,
 }
 
 /// The externally visible states of a freshly built BPDT.
@@ -181,6 +193,7 @@ impl Builder {
             states: Vec::new(),
             arcs: Vec::new(),
             queue_index: HashMap::new(),
+            na_twins: Vec::new(),
         }
     }
 
@@ -282,6 +295,7 @@ impl Builder {
             states: self.states,
             arcs: self.arcs,
             queue_index: self.queue_index,
+            na_twins: self.na_twins,
             layers: n,
             deterministic,
             merged: vec![self.query.clone()],
@@ -584,6 +598,9 @@ impl Builder {
         if !leaf_specs.is_empty() {
             self.attach_leaf_output(id, start, &built, &tag, disp_true, leaf_specs)?;
         }
+        if let Some(na) = built.na {
+            self.na_twins.push((na, built.true_state));
+        }
         Ok(built)
     }
 
@@ -844,6 +861,7 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
         states: b.states,
         arcs: b.arcs,
         queue_index: b.queue_index,
+        na_twins: b.na_twins,
         layers,
         deterministic,
         query: first.clone(),

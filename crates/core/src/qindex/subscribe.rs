@@ -782,6 +782,23 @@ mod tests {
     }
 
     #[test]
+    fn subscribe_compiled_rejects_a_corrupted_na_twin_table() {
+        let mut index = QueryIndex::new(XsqEngine::full());
+        let query = xsq_xpath::parse_query("//a[b]//c/text()").unwrap();
+        let mut hpdt = crate::build::build_hpdt(&query).unwrap();
+        // Pair the NA state with itself: the runtime would retire the
+        // configuration every predicate still waits on.
+        let (na, _) = hpdt.na_twins[0];
+        hpdt.na_twins[0] = (na, na);
+        let err = index.subscribe_compiled(Arc::new(hpdt)).unwrap_err();
+        assert!(
+            matches!(&err, CompileError::Malformed { diagnostic } if diagnostic.contains("na-twin")),
+            "unexpected error: {err}"
+        );
+        assert_eq!(index.len(), 0);
+    }
+
+    #[test]
     fn mid_stream_subscription_waits_for_the_next_document() {
         let mut index = QueryIndex::new(XsqEngine::full());
         let first = index.subscribe("/a/b/text()").unwrap();

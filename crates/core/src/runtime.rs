@@ -15,6 +15,28 @@
 //! successors are applied to it in place; an event that changes nothing
 //! leaves it untouched.
 //!
+//! A predicate decided true retires its NA twin. When a configuration
+//! enters a BPDT's TRUE state, the configuration at the same BPDT's NA
+//! state with the same depth vector and item leaves the set at the end
+//! of that event, after every action of the event has run; and no
+//! successor may enter the NA state while that TRUE configuration is
+//! live. Without this, a `//` step after the predicate keeps the NA
+//! configuration alive through the witness, and everything below the
+//! element is matched twice: buffered and finally cleared on the NA
+//! side, output on the TRUE side. Dropping the NA side changes no
+//! result (DESIGN.md, "Retiring the NA twin"):
+//!
+//! * The TRUE state's child BPDT is built from the same step templates
+//!   as the NA state's, so it accepts the same events and anchors the
+//!   same items (items are shared per event), routed as after a flush.
+//! * TRUE is absorbing until the element's own end tag.
+//! * The resolving arc has already flushed or uploaded every entry of
+//!   the BPDT's own queue under the depth vector, so the NA side's final
+//!   clear would find only entries its own children add later.
+//! * The witness is a direct child or the element's own text, so every
+//!   configuration of the NA side's children has closed by the end of
+//!   the resolving event.
+//!
 //! Two orderings matter:
 //!
 //! * Within one input event, matched arcs execute **deepest layer first**,
@@ -107,6 +129,8 @@ pub struct RunnerCore {
     scratch_dropped: Vec<u32>,
     /// Successor configurations derived by an event.
     scratch_born: Vec<Config>,
+    /// NA configurations whose TRUE twin an event entered.
+    scratch_retired: Vec<Config>,
     scratch_ser: String,
 }
 
@@ -121,6 +145,8 @@ struct Match {
     arc: u32,
     /// The arc leaves the configuration as it was (`arcs::Cand::stays`).
     stays: bool,
+    /// The arc's queue slots (`arcs::Cand::queues`).
+    queues: u32,
 }
 
 /// Apply one event to the strictly sorted configuration set in place:
@@ -129,7 +155,19 @@ struct Match {
 /// moves. Returns whether the set changed — a successor already in the
 /// set adds nothing, and one that re-derives a dropped configuration
 /// keeps it.
-fn apply_step(set: &mut Vec<Config>, dropped: &mut Vec<u32>, born: &mut Vec<Config>) -> bool {
+///
+/// The NA twin rule (see the module docs) applies last: every
+/// configuration in `retired` leaves the set, whether it was there or
+/// was just derived, and a successor at an NA state whose TRUE twin
+/// (`yields_to`) stays in the set with the same depth vector and item is
+/// discarded.
+fn apply_step(
+    set: &mut Vec<Config>,
+    dropped: &mut Vec<u32>,
+    born: &mut Vec<Config>,
+    retired: &[Config],
+    yields_to: impl Fn(StateId) -> Option<StateId>,
+) -> bool {
     born.sort_unstable();
     born.dedup();
     born.retain(|b| match set.binary_search(b) {
@@ -140,6 +178,28 @@ fn apply_step(set: &mut Vec<Config>, dropped: &mut Vec<u32>, born: &mut Vec<Conf
             false
         }
         Err(_) => true,
+    });
+    if !retired.is_empty() {
+        let before = dropped.len();
+        dropped.extend(
+            retired
+                .iter()
+                .filter_map(|r| set.binary_search(r).ok().map(|i| i as u32)),
+        );
+        if dropped.len() > before {
+            dropped.sort_unstable();
+            dropped.dedup();
+        }
+        born.retain(|b| !retired.contains(b));
+    }
+    // A TRUE twin born this event retired the successor above already,
+    // so only the set is searched here.
+    born.retain(|b| {
+        let Some(t) = yields_to(b.state) else {
+            return true;
+        };
+        let twin = set.binary_search_by(|c| (c.state, &c.dv, c.item).cmp(&(t, &b.dv, b.item)));
+        !matches!(twin, Ok(i) if dropped.binary_search(&(i as u32)).is_err())
     });
     if dropped.is_empty() && born.is_empty() {
         return false;
@@ -215,6 +275,7 @@ impl RunnerCore {
             scratch_matches: Vec::new(),
             scratch_dropped: Vec::new(),
             scratch_born: Vec::new(),
+            scratch_retired: Vec::new(),
             scratch_ser: String::new(),
         }
     }
@@ -342,6 +403,7 @@ impl RunnerCore {
                         ci: ci as u32,
                         arc: c.arc,
                         stays: c.stays,
+                        queues: c.queues,
                     });
                     moved |= !c.stays;
                     kept |= c.stays;
@@ -382,7 +444,9 @@ impl RunnerCore {
             tracer.is_some().then(|| Vec::with_capacity(matches.len()));
         let cur = std::mem::take(&mut self.configs);
         let mut born = std::mem::take(&mut self.scratch_born);
+        let mut retired = std::mem::take(&mut self.scratch_retired);
         born.clear();
+        retired.clear();
         for m in &matches {
             let cfg = &cur[m.ci as usize];
             let arc = &hpdt.arcs[cfg.state as usize][m.arc as usize];
@@ -403,12 +467,28 @@ impl RunnerCore {
                 fired.push(crate::trace::fired_arc(arc, cfg.state, &dv));
             }
             let mut new_item = cfg.item;
-            for action in &arc.actions {
-                self.execute(hpdt, action, arc.owner, event, &dv, cfg.item, &mut new_item);
+            for (i, action) in arc.actions.iter().enumerate() {
+                let queues = plan.queue_slots(m.queues, i);
+                self.execute(
+                    action,
+                    queues,
+                    arc.owner.layer,
+                    event,
+                    &dv,
+                    cfg.item,
+                    &mut new_item,
+                );
             }
             if !m.stays {
                 if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
                     dv.pop_mut();
+                }
+                if let Some(na) = plan.retires(arc.target) {
+                    retired.push(Config {
+                        state: na,
+                        dv: dv.clone(),
+                        item: new_item,
+                    });
                 }
                 born.push(Config {
                     state: arc.target,
@@ -418,13 +498,16 @@ impl RunnerCore {
             }
         }
         self.configs = cur;
-        let changed = apply_step(&mut self.configs, &mut dropped, &mut born);
+        let changed = apply_step(&mut self.configs, &mut dropped, &mut born, &retired, |s| {
+            plan.yields_to(s)
+        });
         if changed {
             self.peak_configs = self.peak_configs.max(self.configs.len());
         }
         self.scratch_matches = matches;
         self.scratch_dropped = dropped;
         self.scratch_born = born;
+        self.scratch_retired = retired;
         debug_assert!(
             self.configs.windows(2).all(|w| w[0] < w[1]),
             "configuration set must stay strictly sorted and duplicate-free"
@@ -464,6 +547,7 @@ impl RunnerCore {
                         ci: ci as u32,
                         arc: ai as u32,
                         stays: true,
+                        queues: 0,
                     });
                 }
             }
@@ -486,19 +570,20 @@ impl RunnerCore {
         });
     }
 
+    /// Run one action of an arc owned by a layer-`layer` BPDT. `queues`
+    /// is `(own, addressed)` from [`crate::arcs::ArcPlan::queue_slots`].
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &mut self,
-        hpdt: &Hpdt,
         action: &Action,
-        owner: crate::ids::BpdtId,
+        (own, addressed): (usize, usize),
+        layer: u16,
         event: &RawEvent<'_>,
         inside_dv: &DepthVector,
         current_item: Option<ItemId>,
         new_item: &mut Option<ItemId>,
     ) {
-        let own = queue_idx(hpdt, owner);
-        let prefix = owner.layer as usize + 1;
+        let prefix = layer as usize + 1;
         match action {
             // The three pure buffer operations are no-ops when nothing
             // ever enqueues (`!self.buffered` — no queues are allocated).
@@ -508,10 +593,10 @@ impl RunnerCore {
                         .flush_matching(own, inside_dv, prefix, &mut self.items);
                 }
             }
-            Action::UploadSelf(target) => {
+            Action::UploadSelf(_) => {
                 if self.buffered {
-                    let dst = queue_idx(hpdt, *target);
-                    self.queues.upload_matching(own, dst, inside_dv, prefix);
+                    self.queues
+                        .upload_matching(own, addressed, inside_dv, prefix);
                 }
             }
             Action::ClearSelf => {
@@ -531,7 +616,7 @@ impl RunnerCore {
                 };
                 if let Some(v) = value {
                     let item = self.items.anchor(*tag, v, true);
-                    self.route(hpdt, item, to, own, inside_dv);
+                    self.route(item, to, addressed, inside_dv);
                 }
             }
             Action::ElementStart { to, tag } => {
@@ -539,7 +624,7 @@ impl RunnerCore {
                 xsq_xml::writer::write_raw_event_into(event, &mut self.scratch_ser);
                 let item = self.items.anchor(*tag, &self.scratch_ser, false);
                 *new_item = Some(item);
-                self.route(hpdt, item, to, own, inside_dv);
+                self.route(item, to, addressed, inside_dv);
             }
             Action::ElementAppend => {
                 if let Some(item) = current_item {
@@ -562,23 +647,13 @@ impl RunnerCore {
         }
     }
 
-    fn route(
-        &mut self,
-        hpdt: &Hpdt,
-        item: ItemId,
-        to: &Disposition,
-        own_queue: usize,
-        inside_dv: &DepthVector,
-    ) {
+    /// Send a produced item where `to` says; `queue` is the slot of the
+    /// queue a buffered disposition names.
+    fn route(&mut self, item: ItemId, to: &Disposition, queue: usize, inside_dv: &DepthVector) {
         match to {
             Disposition::Direct => self.items.mark_output(item),
-            Disposition::OwnQueue => {
-                self.queues
-                    .enqueue(own_queue, item, inside_dv, &mut self.items)
-            }
-            Disposition::Queue(id) => {
-                let q = queue_idx(hpdt, *id);
-                self.queues.enqueue(q, item, inside_dv, &mut self.items)
+            Disposition::OwnQueue | Disposition::Queue(_) => {
+                self.queues.enqueue(queue, item, inside_dv, &mut self.items)
             }
         }
     }
@@ -766,13 +841,6 @@ impl<'q> Runner<'q> {
     pub fn aggregate_value(&self) -> Option<f64> {
         self.core.aggregate_value(0)
     }
-}
-
-fn queue_idx(hpdt: &Hpdt, id: crate::ids::BpdtId) -> usize {
-    *hpdt
-        .queue_index
-        .get(&id)
-        .expect("compiled disposition targets an existing BPDT")
 }
 
 #[cfg(test)]
@@ -970,7 +1038,13 @@ mod tests {
         let base = vec![c(1, &[0]), c(2, &[0, 1]), c(2, &[0, 2]), c(5, &[0, 1, 3])];
         let run = |dropped: &[u32], born: Vec<Config>| {
             let mut set = base.clone();
-            let changed = apply_step(&mut set, &mut dropped.to_vec(), &mut born.clone());
+            let changed = apply_step(
+                &mut set,
+                &mut dropped.to_vec(),
+                &mut born.clone(),
+                &[],
+                |_| None,
+            );
             let mut want: Vec<Config> = base
                 .iter()
                 .enumerate()
@@ -992,6 +1066,103 @@ mod tests {
             vec![c(0, &[]), c(3, &[0]), c(9, &[0]), c(3, &[0])]
         ));
         assert!(run(&[1, 2], vec![c(2, &[0, 1, 4]), c(6, &[0])]));
+    }
+
+    #[test]
+    fn apply_step_retires_na_twins_and_suppresses_their_reentry() {
+        let c = |state, depths: &[u32]| Config {
+            state,
+            dv: DepthVector::from_depths(depths),
+            item: None,
+        };
+        // State 2 is an NA state whose TRUE twin is state 4.
+        let yields_to = |s: StateId| (s == 2).then_some(4);
+        let step = |set: &[Config], dropped: &[u32], born: &[Config], retired: &[Config]| {
+            let mut set = set.to_vec();
+            let changed = apply_step(
+                &mut set,
+                &mut dropped.to_vec(),
+                &mut born.to_vec(),
+                retired,
+                yields_to,
+            );
+            (set, changed)
+        };
+        // A retiree in the set is removed, and that alone is a change.
+        let base = [c(1, &[0]), c(2, &[0, 2]), c(4, &[0, 3])];
+        let (set, changed) = step(&base, &[], &[], &[c(2, &[0, 2])]);
+        assert!(changed);
+        assert_eq!(set, [c(1, &[0]), c(4, &[0, 3])]);
+        // The usual case: the witness moves to TRUE on the same event.
+        let (set, changed) = step(
+            &[c(1, &[0]), c(2, &[0, 2]), c(3, &[0, 2, 3])],
+            &[2],
+            &[c(4, &[0, 2])],
+            &[c(2, &[0, 2])],
+        );
+        assert!(changed);
+        assert_eq!(set, [c(1, &[0]), c(4, &[0, 2])]);
+        // A retiree derived on the same event never enters.
+        let (set, _) = step(
+            &base,
+            &[],
+            &[c(2, &[0, 5]), c(4, &[0, 5])],
+            &[c(2, &[0, 5])],
+        );
+        assert_eq!(
+            set,
+            [c(1, &[0]), c(2, &[0, 2]), c(4, &[0, 3]), c(4, &[0, 5])]
+        );
+        // Re-entry into NA while the TRUE twin is live is suppressed...
+        let (set, changed) = step(&base, &[], &[c(2, &[0, 3])], &[]);
+        assert!(!changed);
+        assert_eq!(set, base);
+        // ...but not when the twin leaves on the same event, nor at
+        // another depth vector.
+        let (set, _) = step(&base, &[2], &[c(2, &[0, 3])], &[]);
+        assert_eq!(set, [c(1, &[0]), c(2, &[0, 2]), c(2, &[0, 3])]);
+        let (set, _) = step(&base, &[], &[c(2, &[0, 4])], &[]);
+        assert_eq!(
+            set,
+            [c(1, &[0]), c(2, &[0, 2]), c(2, &[0, 4]), c(4, &[0, 3])]
+        );
+    }
+
+    #[test]
+    fn a_resolved_predicate_retires_its_na_twin() {
+        // The `--trace` golden: after `</year>` only the TRUE side of the
+        // outer `pub` is left at (0,2); the NA side ($2) has retired.
+        let doc = include_bytes!("../../../tests/golden/trace_closure_recursive.xml");
+        let hpdt =
+            build_hpdt(&parse_query("//pub[year]//book[@id]/title/text()").unwrap()).unwrap();
+        let (na, t) = (2, 4);
+        assert!(hpdt.na_twins.contains(&(na, t)), "{:?}", hpdt.na_twins);
+        let mut core = RunnerCore::new(&hpdt, true);
+        let mut sink = crate::sink::TaggedVecSink::new();
+        let events = xsq_xml::parse_to_events(doc).unwrap();
+        let outer = DepthVector::from_depths(&[0, 2]);
+        let at_outer = |core: &RunnerCore| -> Vec<StateId> {
+            core.configs
+                .iter()
+                .filter(|c| c.dv == outer)
+                .map(|c| c.state)
+                .collect()
+        };
+        // <root>, <lib>, <pub>, <year>, 2002
+        for e in &events[..5] {
+            core.feed(&hpdt, e, &mut sink);
+        }
+        assert_eq!(at_outer(&core), [na]);
+        // </year>: the witness resolves; the change is reported.
+        assert!(core.feed(&hpdt, &events[5], &mut sink));
+        assert_eq!(at_outer(&core), [t]);
+        assert_eq!(core.config_count(), 2);
+        for e in &events[6..] {
+            core.feed(&hpdt, e, &mut sink);
+        }
+        core.finish(&mut sink);
+        assert_eq!(sink.of(0), ["T1", "T2", "T4"]);
+        assert_eq!(core.buffered_entries(), 0);
     }
 
     #[test]

@@ -36,6 +36,9 @@ pub enum Error {
     ContentOutsideRoot { offset: u64 },
     /// More than one top-level element.
     MultipleRoots { offset: u64, tag: String },
+    /// The literal `]]>` in character data outside a CDATA section,
+    /// which XML 1.0 §2.4 forbids; `offset` is its first `]`.
+    CdataEndInContent { offset: u64 },
 }
 
 impl Error {
@@ -50,7 +53,8 @@ impl Error {
             | Error::UnclosedElements { offset, .. }
             | Error::BadEntity { offset, .. }
             | Error::ContentOutsideRoot { offset }
-            | Error::MultipleRoots { offset, .. } => *offset,
+            | Error::MultipleRoots { offset, .. }
+            | Error::CdataEndInContent { offset } => *offset,
         }
     }
 }
@@ -100,6 +104,12 @@ impl fmt::Display for Error {
             }
             Error::MultipleRoots { offset, tag } => {
                 write!(f, "second top-level element <{tag}> at byte {offset}")
+            }
+            Error::CdataEndInContent { offset } => {
+                write!(
+                    f,
+                    "`]]>` in character data at byte {offset}: only a CDATA section may end with it"
+                )
             }
         }
     }

@@ -123,8 +123,9 @@ enum Tok {
     /// Between tokens.
     Idle,
     /// In a character-data run; `amp`/`cr` record whether the bytes
-    /// taken so far hold a `&` / `\r`.
-    Text { amp: bool, cr: bool },
+    /// taken so far hold a `&` / `\r`, and `brackets` how many `]` they
+    /// end with (up to 2: the start of a forbidden `]]>`).
+    Text { amp: bool, cr: bool, brackets: u8 },
     /// Consumed `<`.
     Lt,
     /// Reading a start tag's element name.
@@ -406,7 +407,7 @@ impl<R: BufRead> StreamParser<R> {
                 }
                 Some(_) => {
                     self.scratch.clear();
-                    self.text(false, false)?
+                    self.text(false, false, 0)?
                 }
             };
             if !done {
@@ -419,7 +420,7 @@ impl<R: BufRead> StreamParser<R> {
     fn resume(&mut self) -> Result<bool> {
         match self.tok {
             Tok::Idle => Ok(true),
-            Tok::Text { amp, cr } => self.text(amp, cr),
+            Tok::Text { amp, cr, brackets } => self.text(amp, cr, brackets),
             Tok::Lt => self.lt(),
             Tok::StartName => self.start_name(),
             Tok::Attrs => self.attrs(),
@@ -444,12 +445,13 @@ impl<R: BufRead> StreamParser<R> {
         false
     }
 
-    /// A character-data run; `amp`/`cr` say whether the bytes taken so
-    /// far hold a `&` / `\r`. Ends before the next `<` or at end of input.
+    /// A character-data run; `amp`/`cr`/`brackets` describe the bytes
+    /// taken so far (see [`Tok::Text`]). Ends before the next `<` or at
+    /// end of input.
     #[inline(always)]
-    fn text(&mut self, mut amp: bool, mut cr: bool) -> Result<bool> {
-        if !self.take_text_run(&mut amp, &mut cr)? && self.soft_input {
-            return Ok(self.park(Tok::Text { amp, cr }));
+    fn text(&mut self, mut amp: bool, mut cr: bool, mut brackets: u8) -> Result<bool> {
+        if !self.take_text_run(&mut amp, &mut cr, &mut brackets)? && self.soft_input {
+            return Ok(self.park(Tok::Text { amp, cr, brackets }));
         }
         self.finish_text(amp, cr)?;
         Ok(true)
@@ -1025,8 +1027,16 @@ impl<R: BufRead> StreamParser<R> {
     /// Returns `false` if the buffered input ran out first. One fused
     /// [`scan::classify_run`] pass settles the run boundary *and* the
     /// flags that decide whether the line-ending normalization and
-    /// entity-decode passes can be skipped.
-    fn take_text_run(&mut self, saw_amp: &mut bool, saw_cr: &mut bool) -> Result<bool> {
+    /// entity-decode passes can be skipped. It also stops at every `]`:
+    /// `brackets` counts the `]` the run ends with, so a `>` right after
+    /// two of them — `]]>`, even split across pushes — is the error XML
+    /// 1.0 §2.4 asks for.
+    fn take_text_run(
+        &mut self,
+        saw_amp: &mut bool,
+        saw_cr: &mut bool,
+        brackets: &mut u8,
+    ) -> Result<bool> {
         loop {
             let buf = self
                 .reader
@@ -1040,6 +1050,14 @@ impl<R: BufRead> StreamParser<R> {
             loop {
                 let rest = &buf[consumed..];
                 let n = scan::classify_run(rest);
+                if n > 0 {
+                    if *brackets == 2 && rest[0] == b'>' {
+                        return Err(Error::CdataEndInContent {
+                            offset: self.offset + consumed as u64 - 2,
+                        });
+                    }
+                    *brackets = 0;
+                }
                 if n == rest.len() {
                     consumed = buf.len();
                     break;
@@ -1050,10 +1068,9 @@ impl<R: BufRead> StreamParser<R> {
                         stop = true;
                         break;
                     }
-                    b'&' => *saw_amp = true,
-                    b'\r' => *saw_cr = true,
-                    // `]` is ordinary content in a text run.
-                    _ => {}
+                    b'&' => (*saw_amp, *brackets) = (true, 0),
+                    b'\r' => (*saw_cr, *brackets) = (true, 0),
+                    _ => *brackets = (*brackets + 1).min(2),
                 }
                 consumed += n + 1;
             }
@@ -1642,6 +1659,12 @@ mod tests {
             err("<a><!-- oops</a>"),
             Error::UnexpectedEof { .. }
         ));
+    }
+
+    #[test]
+    fn cdata_end_in_content_is_rejected_at_its_first_bracket() {
+        assert_eq!(err("<a>x]]>y</a>"), Error::CdataEndInContent { offset: 4 });
+        assert_eq!(err("<a>]]]></a>"), Error::CdataEndInContent { offset: 4 });
     }
 
     #[test]

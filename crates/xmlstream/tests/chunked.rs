@@ -175,6 +175,29 @@ fn doctype_brackets_inside_literals_comments_and_pis() {
 }
 
 #[test]
+fn brackets_in_content_that_never_spell_the_cdata_end_parse() {
+    // Only a literal `]]>` in character data is an error: `]` runs that
+    // an entity, a CR, markup or a CDATA section interrupts are content,
+    // and so is `]]>` inside an attribute value or a CDATA section.
+    let text = |doc: &str| -> String {
+        assert_boundary_independent(doc)
+            .iter()
+            .filter_map(|e| match e {
+                SaxEvent::Text { text, .. } => Some(text.as_str()),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(text("<a>]]</a>"), "]]");
+    assert_eq!(text("<a>]>] ]></a>"), "]>] ]>");
+    assert_eq!(text("<a>]]&gt;</a>"), "]]>");
+    assert_eq!(text("<a>]]\r></a>"), "]]\n>");
+    assert_eq!(text("<a>]]<!-- -->></a>"), "]]>");
+    assert_eq!(text("<a>]<![CDATA[]]]]>></a>"), "]]]>");
+    assert_eq!(text("<a x=']]>'>]</a>"), "]");
+}
+
+#[test]
 fn malformed_documents_error_identically_at_every_chunk_size() {
     for doc in [
         "<a><b></a></b>",
@@ -204,6 +227,13 @@ fn malformed_documents_error_identically_at_every_chunk_size() {
         "<a x='\u{1F680}'",
         "<a><",
         "<a></a",
+        // `]]>` in content (XML 1.0 §2.4), split at every offset.
+        "<a>x]]>y</a>",
+        "<a>]]></a>",
+        "<a>x]]]>y</a>",
+        "<a>&amp;]]></a>",
+        "<a>\r\n]]>\r</a>",
+        "<a><![CDATA[ok]]>]]></a>",
     ] {
         assert!(
             same_outcome_at_every_chunk_size(doc).is_err(),

@@ -198,7 +198,8 @@ fn analyze_json_matches_golden_snapshots() {
 /// self-loops the runtime no longer probes (their configurations persist
 /// through begin events): the walkthrough of a closure query over
 /// `pub`-in-`pub` and `book`-in-`book` data must stay byte-identical to
-/// the snapshot taken before that change.
+/// the snapshot. From each `</year>` on, the `pub`'s NA configuration
+/// has retired, so only its TRUE side fires below it.
 #[test]
 fn trace_of_a_closure_query_on_recursive_data_matches_the_golden() {
     let root = env!("CARGO_MANIFEST_DIR");

@@ -33,6 +33,17 @@ const QUERIES: &[&str] = &[
     "//price/sum()",
     "//a[c=3]/b/text()",
     "//*/c/text()",
+    // A predicate decided true beside a live NA twin: the twin retires.
+    "//pub[year=3]//title/text()",
+    "//pub[year]",
+    "//pub[year]//book/count()",
+    "//a[text()=2]//c/text()",
+    "//b[c=3]//b/text()",
+    "//a[b@x]//c/text()",
+    "//a[b@x=2]//a",
+    "//pub[year]//book[title]//price/text()",
+    "//a[c]//a[b]//c/text()",
+    "//a[c=1]//b[text()=2]/text()",
 ];
 
 const TAGS: &[&str] = &["a", "b", "c", "pub", "book", "year", "title", "price"];

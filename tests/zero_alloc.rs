@@ -248,6 +248,9 @@ fn steady_state_no_match_loop_performs_zero_allocations() {
         "/site/item[price]/name/text()",
         "/site/item/price/text()",
         "/site/item/@id",
+        // A `//` step after the predicate: every `</price>` retires the
+        // item's NA configuration.
+        "//item[price]//name/text()",
     ];
     let mut index = QueryIndex::new(XsqEngine::full());
     index
